@@ -28,16 +28,13 @@ from .errors import (
 )
 from .quotient_rank import (
     DiagonalGamma,
-    QuotientRankReport,
     corollary_rank_for_primes,
-    quotient_rank_report,
     rank2_quotient_enumerated,
     rank2_quotient_formula,
 )
 from .reciprocity_pipeline import (
     RELATION_EQUAL,
     RELATION_OPPOSITE,
-    GammaPQ,
     PairVerdict,
     Transversal,
     UnitPair,
@@ -57,7 +54,6 @@ from .residue_arith import (
     legendre_euler,
     legendre_oracle,
     odd_primes_up_to,
-    pow_mod,
     primes_up_to,
     validate_odd_prime,
     wilson_check,
@@ -68,12 +64,10 @@ __all__ = [
     "CapacityError",
     "DiagonalGamma",
     "DomainError",
-    "GammaPQ",
     "GroupElement",
     "GroupMismatchError",
     "InternalCheckError",
     "PairVerdict",
-    "QuotientRankReport",
     "RELATION_EQUAL",
     "RELATION_OPPOSITE",
     "Rank2Result",
@@ -92,12 +86,10 @@ __all__ = [
     "legendre_euler",
     "legendre_oracle",
     "odd_primes_up_to",
-    "pow_mod",
     "predicted_symbol_relation",
     "primes_up_to",
     "product_over_transversal",
     "qr_identity",
-    "quotient_rank_report",
     "rank2",
     "rank2_quotient_enumerated",
     "rank2_quotient_formula",

@@ -4,7 +4,8 @@ Subcommands: ``verify`` (one pair), ``sweep`` (all pairs p < q <= max),
 ``lemma-suite`` (seeded randomized suites), ``legendre`` (print one symbol).
 
 Exit codes: 0 all checks passed; 1 at least one verification failed;
-2 invalid invocation (bad primes, bad bounds, over budget, unknown suite).
+2 invalid invocation (bad primes, bad bounds, over budget, unknown suite,
+malformed RECIPRO_MAX_BUDGET) or an I/O error on the report file.
 
 Reports are deterministic byte for byte given the same configuration and
 seed.  The only timestamp lives in the metadata: '#'-prefixed comment lines
@@ -15,11 +16,14 @@ rows; JSON "rows" and "summary") never varies between identical runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from . import __version__
 from .errors import CapacityError, DomainError
@@ -129,16 +133,45 @@ def render_json(cfg: RunConfig, rows: list[SweepRow], summary: dict, timestamp: 
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _emit_report(cfg: RunConfig, rows: list[SweepRow], summary: dict) -> None:
-    timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    render = render_json if cfg.fmt == "json" else render_csv
-    report = render(cfg, rows, summary, timestamp)
+@contextlib.contextmanager
+def _report_stream(out: str | None) -> Iterator[TextIO]:
+    """Stdout, or a temp file beside `out` that replaces it once complete.
+
+    The temp file is opened on entry, before the caller verifies anything,
+    so a bad destination fails fast; on any error it is removed, so no run
+    leaves a partial report behind.
+    """
+    if out is None:
+        yield sys.stdout
+        return
+    if os.path.isdir(out):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+    tmp = f"{out}.{os.getpid()}.tmp"
+    try:
+        handle = open(tmp, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:  # name the destination, not the temp file
+        raise OSError(exc.errno, exc.strerror, out) from None
+    try:
+        with handle:
+            yield handle
+        os.replace(tmp, out)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _verify_and_report(cfg: RunConfig, pairs: list[tuple[int, int]]) -> int:
+    """Verify every pair and write the report; the exit code is 1 on any failure."""
+    with _report_stream(cfg.out) as handle:
+        rows = [SweepRow.from_verdict(verify_pair(p, q)) for p, q in pairs]
+        summary = _make_summary(rows)
+        timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        render = render_json if cfg.fmt == "json" else render_csv
+        handle.write(render(cfg, rows, summary, timestamp))
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(report)
         print(f"wrote {cfg.out}: {_summary_text(summary)}")
-    else:
-        sys.stdout.write(report)
+    return 0 if summary["failures"] == 0 else 1
 
 
 def _make_summary(rows: list[SweepRow]) -> dict:
@@ -152,10 +185,7 @@ def _make_summary(rows: list[SweepRow]) -> dict:
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = RunConfig(command="verify", seed=args.seed, fmt=args.format, out=args.out,
                     p=args.p, q=args.q)
-    verdict = verify_pair(args.p, args.q)
-    rows = [SweepRow.from_verdict(verdict)]
-    _emit_report(cfg, rows, _make_summary(rows))
-    return 0 if verdict.all_pass else 1
+    return _verify_and_report(cfg, [(args.p, args.q)])
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -172,13 +202,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     cfg = RunConfig(command="sweep", seed=args.seed, fmt=args.format, out=args.out,
                     max=args.max)
-    rows = []
-    for i, p in enumerate(primes):
-        for q in primes[i + 1 :]:
-            rows.append(SweepRow.from_verdict(verify_pair(p, q)))
-    summary = _make_summary(rows)
-    _emit_report(cfg, rows, summary)
-    return 0 if summary["failures"] == 0 else 1
+    return _verify_and_report(cfg, [(p, q) for i, p in enumerate(primes) for q in primes[i + 1 :]])
 
 
 def cmd_lemma_suite(args: argparse.Namespace) -> int:
@@ -237,8 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        budget.env_limit()  # a malformed value fails every subcommand alike
         return args.func(args)
-    except (DomainError, CapacityError) as exc:
+    except (DomainError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

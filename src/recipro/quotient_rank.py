@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import budget
 from .abelian_core import AbelianGroup, GroupElement
-from .errors import CapacityError, DomainError, InternalCheckError
+from .errors import DomainError, InternalCheckError
 from .residue_arith import validate_odd_prime
 
 
@@ -91,26 +91,3 @@ def corollary_rank_for_primes(p: int, q: int) -> int:
         raise DomainError("primes must be distinct")
     return rank2_quotient_formula((p - 1, q - 1))
 
-
-@dataclass(frozen=True)
-class QuotientRankReport:
-    """Both routes side by side; enumeration is skipped over the budget."""
-
-    k: int
-    formula_rank: int
-    enumerated_rank: int | None = None
-    agree: bool | None = None
-
-
-def quotient_rank_report(orders: Sequence[int]) -> QuotientRankReport:
-    orders = tuple(orders)
-    formula = rank2_quotient_formula(orders)
-    enumerated = None
-    try:
-        enumerated = rank2_quotient_enumerated(DiagonalGamma.for_group(AbelianGroup(orders)))
-    except CapacityError:
-        pass
-    agree = None if enumerated is None else formula == enumerated
-    return QuotientRankReport(
-        k=len(orders), formula_rank=formula, enumerated_rank=enumerated, agree=agree
-    )

@@ -19,10 +19,11 @@ Pure functions throughout; sweeps over many pairs may run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, NamedTuple
 
 from . import budget
-from .errors import DomainError, InternalCheckError
+from .errors import DomainError
 from .quotient_rank import corollary_rank_for_primes
 from .residue_arith import legendre_euler, validate_odd_prime
 
@@ -33,8 +34,7 @@ RELATION_OPPOSITE = -1
 class UnitPair(NamedTuple):
     """A residue mod p paired with a residue mod q.
 
-    The primes themselves live on the owning Transversal / GammaPQ /
-    PairVerdict, which keeps million-entry pair lists lightweight.
+    The primes themselves live on the owning Transversal or PairVerdict.
     """
 
     a: int
@@ -49,93 +49,48 @@ def _validate_pair(p: int, q: int) -> None:
 
 
 @dataclass(frozen=True)
-class GammaPQ:
-    """The subgroup {(1, 1), (p-1, q-1)} of the units product."""
-
-    p: int
-    q: int
-
-    def __post_init__(self):
-        _validate_pair(self.p, self.q)
-
-    @property
-    def members(self) -> tuple[UnitPair, UnitPair]:
-        return (UnitPair(1, 1), UnitPair(self.p - 1, self.q - 1))
-
-    def negate(self, x: UnitPair) -> UnitPair:
-        return UnitPair((self.p - x.a) % self.p, (self.q - x.b) % self.q)
-
-    def equivalent(self, x: UnitPair, y: UnitPair) -> bool:
-        """Same Gamma-coset: equal or componentwise negatives."""
-        return x == y or x == self.negate(y)
-
-
-@dataclass(frozen=True)
 class Transversal:
-    """Coset representatives (k mod p, k mod q), k ascending over (0, pq/2)."""
+    """Coset representatives (k mod p, k mod q), k ascending over (0, pq/2).
+
+    Holds only the primes; the representatives are generated on demand, so a
+    transversal costs a pq/2-byte mask while it is read and nothing after.
+    """
 
     p: int
     q: int
-    pairs: tuple[UnitPair, ...]
 
     def __post_init__(self):
         _validate_pair(self.p, self.q)
 
-    def __len__(self) -> int:
-        return len(self.pairs)
+    def ks(self) -> Iterator[int]:
+        """The k in (0, pq/2) with p and q both not dividing k, ascending."""
+        p, q = self.p, self.q
+        half = p * q // 2
+        keep = bytearray([1]) * (half + 1)
+        keep[::p] = bytes(len(range(0, half + 1, p)))
+        keep[::q] = bytes(len(range(0, half + 1, q)))
+        return compress(range(half + 1), keep)
 
-    def __iter__(self) -> Iterator[UnitPair]:
-        return iter(self.pairs)
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        p, q = self.p, self.q
+        return ((k % p, k % q) for k in self.ks())
 
 
 def build_transversal(p: int, q: int) -> Transversal:
-    """Materialize the canonical representatives; pq is capped for storage."""
-    _validate_pair(p, q)
-    n = p * q
-    budget.require_within(n, budget.TRANSVERSAL_CAP, "transversal storage")
-    pairs = []
-    append = pairs.append
-    for k in range(1, n // 2 + 1):
-        ra = k % p
-        if ra == 0:
-            continue
-        rb = k % q
-        if rb == 0:
-            continue
-        append(UnitPair(ra, rb))
-    expected = (p - 1) * (q - 1) // 2
-    if len(pairs) != expected:
-        raise InternalCheckError(
-            f"built {len(pairs)} representatives for ({p}, {q}), expected {expected}"
-        )
-    return Transversal(p, q, tuple(pairs))
+    """The canonical representative set for (p, q); pq is capped for the pass over k."""
+    L = Transversal(p, q)
+    budget.require_within(p * q, budget.STREAM_PRODUCT_CAP, "transversal")
+    return L
 
 
 def product_over_transversal(L: Transversal) -> UnitPair:
     """Componentwise product of all entries, reduced mod p and mod q each step."""
     p, q = L.p, L.q
     ap = aq = 1
-    for a, b in L.pairs:
-        ap = ap * a % p
-        aq = aq * b % q
-    return UnitPair(ap, aq)
-
-
-def _streamed_product(p: int, q: int) -> UnitPair:
-    # same result as product_over_transversal(build_transversal(p, q)),
-    # single pass over k with constant memory
-    n = p * q
-    budget.require_within(n, budget.STREAM_PRODUCT_CAP, "transversal product stream")
-    ap = aq = 1
-    for k in range(1, n // 2 + 1):
-        ra = k % p
-        if ra == 0:
-            continue
-        rb = k % q
-        if rb == 0:
-            continue
-        ap = ap * ra % p
-        aq = aq * rb % q
+    # ap * k = ap * (k mod p) (mod p): the entries are multiplied without forming them
+    for k in L.ks():
+        ap = ap * k % p
+        aq = aq * k % q
     return UnitPair(ap, aq)
 
 
@@ -151,31 +106,32 @@ def closed_form_product(p: int, q: int) -> UnitPair:
 
 
 def verify_transversal(L: Transversal) -> bool:
-    """True iff L is exactly the canonical representative set.
+    """True iff L reads as exactly the canonical representative set.
 
-    Checked: the size is (p-1)(q-1)/2; every entry is a unit pair; the
-    Chinese-remainder lift of every entry lands in (0, pq/2); and the lifts
-    are pairwise distinct.  Distinct lower-half lifts already rule out both
-    duplicates and componentwise-negative pairs (x and -x lift to k and
-    pq - k), and with the size count they force one representative per
-    coset.  The lift route is independent of how L was generated.
+    Checked while reading L's pairs: every entry is a unit pair; the
+    Chinese-remainder lift of every entry lands in (0, pq/2); the lifts are
+    pairwise distinct; and there are (p-1)(q-1)/2 of them.  Distinct
+    lower-half lifts already rule out both duplicates and componentwise-
+    negative pairs (x and -x lift to k and pq - k), and with the count they
+    force one representative per coset.  The lift route is independent of
+    how L generates its pairs.
     """
     p, q = L.p, L.q
     n = p * q
-    if len(L.pairs) != (p - 1) * (q - 1) // 2:
-        return False
     c1 = q * pow(q, -1, p)  # 1 mod p, 0 mod q
     c2 = p * pow(p, -1, q)  # 0 mod p, 1 mod q
     half = n // 2
-    lifts = set()
-    for a, b in L.pairs:
+    seen = bytearray(half + 1)
+    count = 0
+    for a, b in L:
         if not (0 < a < p and 0 < b < q):
             return False
         k = (a * c1 + b * c2) % n
-        if k > half or k in lifts:
+        if k > half or seen[k]:
             return False
-        lifts.add(k)
-    return True
+        seen[k] = 1
+        count += 1
+    return count == (p - 1) * (q - 1) // 2
 
 
 def _residue_sign(r: int, m: int) -> int | None:
@@ -233,9 +189,9 @@ def verify_pair(p: int, q: int) -> PairVerdict:
 
     * ``product_matches_closed_form`` -- transversal product equals the
       Legendre closed form, coordinatewise and exactly;
-    * ``transversal_valid`` -- the materialized representative set checks
-      out (present only while pq is within the storage cap; above it the
-      product is streamed and this check is skipped);
+    * ``transversal_valid`` -- the representative set the product read
+      checks out (present only while pq is within the validation cap,
+      ``TRANSVERSAL_CAP``; above it this check is skipped);
     * ``rank_sign_dichotomy`` -- the product's coordinates are both signs
       (1 or -1 residues), equal when the quotient rank is 2 and opposite
       when it is 1; any non-sign residue fails the check outright;
@@ -245,18 +201,8 @@ def verify_pair(p: int, q: int) -> PairVerdict:
 
     A failed check marks the verdict failed without aborting the rest.
     """
-    _validate_pair(p, q)
-    n = p * q
-    budget.require_within(n, budget.STREAM_PRODUCT_CAP, "pair verification")
-
-    transversal_valid = None
-    if n <= budget.effective_cap(budget.TRANSVERSAL_CAP):
-        L = build_transversal(p, q)
-        product = product_over_transversal(L)
-        transversal_valid = verify_transversal(L)
-    else:
-        product = _streamed_product(p, q)
-
+    L = build_transversal(p, q)
+    product = product_over_transversal(L)
     closed = closed_form_product(p, q)
     rank = corollary_rank_for_primes(p, q)
     leg_qp = legendre_euler(q, p)
@@ -266,8 +212,8 @@ def verify_pair(p: int, q: int) -> PairVerdict:
 
     checks: dict[str, bool] = {}
     checks["product_matches_closed_form"] = product == closed
-    if transversal_valid is not None:
-        checks["transversal_valid"] = transversal_valid
+    if p * q <= budget.effective_cap(budget.TRANSVERSAL_CAP):
+        checks["transversal_valid"] = verify_transversal(L)
     sp = _residue_sign(product.a, p)
     sq = _residue_sign(product.b, q)
     if sp is None or sq is None:

@@ -67,20 +67,6 @@ def validate_odd_prime(p: int) -> int:
     return p
 
 
-def pow_mod(b: int, e: int, m: int) -> int:
-    """b**e mod m for 0 <= b < m, e >= 0, m >= 2."""
-    _check_int(b, "base")
-    _check_int(e, "exponent")
-    _check_int(m, "modulus")
-    if m < 2:
-        raise DomainError(f"modulus must be >= 2, got {m}")
-    if not 0 <= b < m:
-        raise DomainError(f"base must satisfy 0 <= b < {m}, got {b}")
-    if e < 0:
-        raise DomainError(f"exponent must be nonnegative, got {e}")
-    return pow(b, e, m)
-
-
 def _unit_mod(a: int, p: int) -> int:
     """a reduced into [1, p-1]; a multiple of p is out of contract."""
     _check_int(a)

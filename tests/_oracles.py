@@ -18,13 +18,6 @@ def trial_division_is_prime(n):
     return True
 
 
-def slow_pow_mod(b, e, m):
-    acc = 1 % m
-    for _ in range(e):
-        acc = acc * b % m
-    return acc
-
-
 def torsion_by_factors(orders):
     """Two-torsion coordinate tuples from the per-factor solutions of 2x = 0.
 
@@ -83,3 +76,22 @@ def quotient_rank_by_cosets(orders):
     rank = count.bit_length() - 1
     assert count == 1 << rank, f"two-torsion count {count} is not a power of 2"
     return rank
+
+
+def streamed_product(p, q):
+    """Transversal product by one pass over k, skipping multiples of p or q.
+
+    Tests the library's keep-mask route against a plain range loop that
+    reduces each k before multiplying.
+    """
+    ap = aq = 1
+    for k in range(1, p * q // 2 + 1):
+        ra = k % p
+        if ra == 0:
+            continue
+        rb = k % q
+        if rb == 0:
+            continue
+        ap = ap * ra % p
+        aq = aq * rb % q
+    return ap, aq

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from recipro import UnitPair
+from recipro import DomainError, UnitPair
 from recipro.cli_report import SWEEP_FIELDS, SweepRow, main
 from recipro.reciprocity_pipeline import PairVerdict
 
@@ -153,6 +153,48 @@ class TestSweepCommand:
         assert "# seed: 77" in result.stdout
 
 
+def refuse_verify_pair(p, q):
+    raise AssertionError("verification ran before the destination was checked")
+
+
+class TestReportFile:
+    def test_missing_directory_exits_2_before_verifying(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("recipro.cli_report.verify_pair", refuse_verify_pair)
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["sweep", "--max", "30", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "No such file or directory" in err
+        assert str(out) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directory_destination_exits_2_before_verifying(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("recipro.cli_report.verify_pair", refuse_verify_pair)
+        assert main(["sweep", "--max", "30", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Is a directory" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_leaves_existing_report_untouched(self, tmp_path, monkeypatch):
+        def failing_verify_pair(p, q):
+            raise DomainError("injected")
+
+        out = tmp_path / "r.csv"
+        out.write_text("previous report\n", encoding="utf-8")
+        monkeypatch.setattr("recipro.cli_report.verify_pair", failing_verify_pair)
+        assert main(["sweep", "--max", "30", "--out", str(out)]) == 2
+        assert out.read_text(encoding="utf-8") == "previous report\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_report_replaces_existing_file(self, tmp_path):
+        out = tmp_path / "r.csv"
+        out.write_text("previous report\n", encoding="utf-8")
+        assert main(["verify", "--p", "3", "--q", "5", "--out", str(out)]) == 0
+        assert csv_body(out.read_text(encoding="utf-8"))[1] == (
+            "3,5,3,1,1,2,1,2,1,-1,-1,equal,true,true"
+        )
+        assert list(tmp_path.iterdir()) == [out]
+
+
 class TestLemmaSuiteCommand:
     def test_lemma1(self):
         result = run_cli("lemma-suite", "--which", "lemma1", "--n", "25", "--seed", "42")
@@ -208,6 +250,15 @@ class TestBudgetEnv:
         env = dict(os.environ, RECIPRO_MAX_BUDGET="lots")
         result = run_cli("verify", "--p", "3", "--q", "5", env=env)
         assert result.returncode == 2
+
+    def test_malformed_budget_fails_legendre(self):
+        import os
+
+        env = dict(os.environ, RECIPRO_MAX_BUDGET="abc")
+        result = run_cli("legendre", "--a", "2", "--p", "7", env=env)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: RECIPRO_MAX_BUDGET must be an integer, got 'abc'\n"
 
 
 class TestSweepRowShape:

@@ -10,7 +10,6 @@ from recipro import (
     add,
     corollary_rank_for_primes,
     element_order,
-    quotient_rank_report,
     rank2_quotient_enumerated,
     rank2_quotient_formula,
 )
@@ -119,17 +118,3 @@ class TestCorollary:
         with pytest.raises(DomainError):
             corollary_rank_for_primes(p, q)
 
-
-class TestReport:
-    def test_both_routes_present(self):
-        report = quotient_rank_report((2, 4))
-        assert report.k == 2
-        assert report.formula_rank == 1
-        assert report.enumerated_rank == 1
-        assert report.agree is True
-
-    def test_enumeration_skipped_over_cap(self):
-        report = quotient_rank_report((2,) * 19)
-        assert report.formula_rank == 18
-        assert report.enumerated_rank is None
-        assert report.agree is None

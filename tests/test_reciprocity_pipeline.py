@@ -1,9 +1,10 @@
+from dataclasses import dataclass
+
 import pytest
 
 from recipro import (
     CapacityError,
     DomainError,
-    GammaPQ,
     Transversal,
     UnitPair,
     build_transversal,
@@ -15,7 +16,7 @@ from recipro import (
     verify_pair,
     verify_transversal,
 )
-from recipro.reciprocity_pipeline import _streamed_product
+from _oracles import streamed_product
 
 SMALL_PAIRS = [
     (p, q)
@@ -28,18 +29,19 @@ class TestBuildTransversal:
     def test_3_5(self):
         L = build_transversal(3, 5)
         # k runs over {1, 2, 4, 7}
-        assert L.pairs == (UnitPair(1, 1), UnitPair(2, 2), UnitPair(1, 4), UnitPair(1, 2))
-        assert len(L) == 4 == (3 - 1) * (5 - 1) // 2
+        assert tuple(L.ks()) == (1, 2, 4, 7)
+        assert tuple(L) == (UnitPair(1, 1), UnitPair(2, 2), UnitPair(1, 4), UnitPair(1, 2))
+        assert len(tuple(L)) == 4 == (3 - 1) * (5 - 1) // 2
 
     def test_3_7(self):
         L = build_transversal(3, 7)
         # k runs over {1, 2, 4, 5, 8, 10}
         assert [(a, b) for a, b in L] == [(1, 1), (2, 2), (1, 4), (2, 5), (2, 1), (1, 3)]
-        assert len(L) == 6
+        assert len(tuple(L)) == 6
 
     def test_size_formula(self):
         for p, q in SMALL_PAIRS:
-            assert len(build_transversal(p, q)) == (p - 1) * (q - 1) // 2
+            assert len(tuple(build_transversal(p, q))) == (p - 1) * (q - 1) // 2
 
     @pytest.mark.parametrize("p,q", [(3, 3), (4, 5), (3, 2), (3, 9)])
     def test_domain_errors(self, p, q):
@@ -47,9 +49,11 @@ class TestBuildTransversal:
             build_transversal(p, q)
 
     def test_capacity(self):
-        # 449 * 457 = 205193 > 200000
+        # 449 * 457 = 205193 is over the validation cap but builds;
+        # 1021 * 2063 = 2106323 is over the product cap 2**21
+        assert build_transversal(449, 457).p == 449
         with pytest.raises(CapacityError):
-            build_transversal(449, 457)
+            build_transversal(1021, 2063)
 
     def test_env_var_lowers_cap(self, monkeypatch):
         monkeypatch.setenv("RECIPRO_MAX_BUDGET", "1000")
@@ -69,11 +73,13 @@ class TestProduct:
             L = build_transversal(p, q)
             assert product_over_transversal(L) == closed_form_product(p, q), (p, q)
 
-    def test_streamed_equals_materialized(self):
-        for p, q in [(3, 5), (7, 11), (13, 19), (31, 37)]:
-            assert _streamed_product(p, q) == product_over_transversal(
-                build_transversal(p, q)
-            )
+    @pytest.mark.parametrize(
+        "p,q", [(3, 5), (7, 11), (13, 19), (31, 37), (449, 457), (1021, 2053)]
+    )
+    def test_matches_streamed_oracle(self, p, q):
+        # the small pairs are under the validation cap, (449, 457) just over
+        # it and (1021, 2053) just under the product cap
+        assert product_over_transversal(build_transversal(p, q)) == streamed_product(p, q)
 
 
 class TestClosedForm:
@@ -91,25 +97,16 @@ class TestClosedForm:
             assert b in (1, q - 1)
 
 
-class TestGammaPQ:
-    def test_members(self):
-        gamma = GammaPQ(3, 5)
-        assert gamma.members == (UnitPair(1, 1), UnitPair(2, 4))
+@dataclass
+class Listed:
+    """A stand-in transversal that reads back exactly the pairs it is given."""
 
-    def test_nonidentity_member_squares_to_identity(self):
-        for p, q in [(3, 5), (7, 11), (13, 17)]:
-            a, b = GammaPQ(p, q).members[1]
-            assert (a * a % p, b * b % q) == (1, 1)
+    p: int
+    q: int
+    pairs: tuple
 
-    def test_equivalence(self):
-        gamma = GammaPQ(3, 5)
-        assert gamma.equivalent(UnitPair(1, 1), UnitPair(2, 4))
-        assert gamma.equivalent(UnitPair(1, 2), UnitPair(1, 2))
-        assert not gamma.equivalent(UnitPair(1, 2), UnitPair(1, 3))
-
-    def test_validates_primes(self):
-        with pytest.raises(DomainError):
-            GammaPQ(4, 5)
+    def __iter__(self):
+        return iter(self.pairs)
 
 
 class TestVerifyTransversal:
@@ -117,31 +114,35 @@ class TestVerifyTransversal:
         for p, q in [(3, 5), (3, 7), (5, 13), (17, 19)]:
             assert verify_transversal(build_transversal(p, q))
 
+    def test_listed_canonical_pairs_pass(self):
+        assert verify_transversal(Listed(3, 5, tuple(build_transversal(3, 5))))
+
     def test_duplicate_appended(self):
-        L = build_transversal(3, 5)
-        tampered = Transversal(3, 5, L.pairs + (L.pairs[0],))
-        assert not verify_transversal(tampered)
+        pairs = tuple(build_transversal(3, 5))
+        assert not verify_transversal(Listed(3, 5, pairs + (pairs[0],)))
+
+    def test_duplicate_in_place_of_an_entry(self):
+        # the count still matches, so only the distinct-lift check can catch it
+        pairs = tuple(build_transversal(3, 5))
+        assert not verify_transversal(Listed(3, 5, pairs[:-1] + (pairs[0],)))
 
     def test_entry_replaced_by_negation(self):
         # (2, 4) = -(1, 1) lifts to k = 14, outside (0, pq/2)
-        L = build_transversal(3, 5)
-        tampered = Transversal(3, 5, (UnitPair(2, 4),) + L.pairs[1:])
-        assert not verify_transversal(tampered)
+        pairs = tuple(build_transversal(3, 5))
+        assert not verify_transversal(Listed(3, 5, ((2, 4),) + pairs[1:]))
 
     def test_entry_dropped(self):
-        L = build_transversal(3, 5)
-        assert not verify_transversal(Transversal(3, 5, L.pairs[1:]))
+        pairs = tuple(build_transversal(3, 5))
+        assert not verify_transversal(Listed(3, 5, pairs[1:]))
 
     def test_non_unit_entry(self):
-        L = build_transversal(3, 5)
-        tampered = Transversal(3, 5, (UnitPair(0, 1),) + L.pairs[1:])
-        assert not verify_transversal(tampered)
+        pairs = tuple(build_transversal(3, 5))
+        assert not verify_transversal(Listed(3, 5, ((0, 1),) + pairs[1:]))
 
     def test_gamma_equivalent_pair_present(self):
         # replace the second entry with the negation of the first
-        L = build_transversal(3, 7)
-        tampered = Transversal(3, 7, (L.pairs[0], UnitPair(2, 6)) + L.pairs[2:])
-        assert not verify_transversal(tampered)
+        pairs = tuple(build_transversal(3, 7))
+        assert not verify_transversal(Listed(3, 7, (pairs[0], (2, 6)) + pairs[2:]))
 
 
 class TestVerifyPair:
@@ -189,7 +190,7 @@ class TestVerifyPair:
             assert signs == (1 if v.rank == 2 else -1), (p, q)
 
     def test_streams_above_transversal_cap(self):
-        # 401 * 503 = 201703: over the storage cap, inside the stream cap
+        # 401 * 503 = 201703: over the validation cap, inside the product cap
         v = verify_pair(401, 503)
         assert "transversal_valid" not in v.checks
         assert v.all_pass
@@ -203,6 +204,58 @@ class TestVerifyPair:
         # 1021 * 2063 = 2106323 > 2**21
         with pytest.raises(CapacityError):
             verify_pair(1021, 2063)
+
+
+def failed_checks(verdict):
+    return {name for name, ok in verdict.checks.items() if not ok}
+
+
+class TestFaultInjection:
+    """Each injected fault trips exactly the named checks that depend on it."""
+
+    @staticmethod
+    def tamper_ks(monkeypatch, tamper):
+        original = Transversal.ks
+        monkeypatch.setattr(Transversal, "ks", lambda L: iter(tamper(list(original(L)))))
+
+    def test_k_shifted_by_one(self, monkeypatch):
+        self.tamper_ks(monkeypatch, lambda ks: [k + 1 for k in ks])
+        assert failed_checks(verify_pair(7, 11)) == {
+            "product_matches_closed_form",
+            "transversal_valid",
+            "rank_sign_dichotomy",
+        }
+
+    def test_k_dropped(self, monkeypatch):
+        # k = 1 contributes (1, 1): the product cannot notice it is gone
+        self.tamper_ks(monkeypatch, lambda ks: ks[1:])
+        assert failed_checks(verify_pair(7, 11)) == {"transversal_valid"}
+
+    def test_k_duplicated(self, monkeypatch):
+        self.tamper_ks(monkeypatch, lambda ks: ks[:1] + ks)
+        assert failed_checks(verify_pair(7, 11)) == {"transversal_valid"}
+
+    def test_legendre_symbol_flipped(self, monkeypatch):
+        def flipped(a, p):
+            symbol = legendre_euler(a, p)
+            return -symbol if (a, p) == (11, 7) else symbol
+
+        monkeypatch.setattr("recipro.reciprocity_pipeline.legendre_euler", flipped)
+        assert failed_checks(verify_pair(7, 11)) == {
+            "product_matches_closed_form",
+            "relation_matches_symbols",
+            "qr_identity",
+        }
+
+    def test_wrong_rank(self, monkeypatch):
+        # 7 = 11 = 3 (mod 4): the true rank is 1
+        monkeypatch.setattr(
+            "recipro.reciprocity_pipeline.corollary_rank_for_primes", lambda p, q: 2
+        )
+        assert failed_checks(verify_pair(7, 11)) == {
+            "rank_sign_dichotomy",
+            "relation_matches_symbols",
+        }
 
 
 class TestQrIdentity:

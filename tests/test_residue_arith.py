@@ -1,8 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from recipro import (
     CapacityError,
@@ -14,12 +12,11 @@ from recipro import (
     legendre_euler,
     legendre_oracle,
     odd_primes_up_to,
-    pow_mod,
     primes_up_to,
     validate_odd_prime,
     wilson_check,
 )
-from _oracles import slow_pow_mod, trial_division_is_prime
+from _oracles import trial_division_is_prime
 
 
 class TestIsPrime:
@@ -62,28 +59,6 @@ class TestValidateOddPrime:
     def test_rejects(self, bad):
         with pytest.raises(DomainError):
             validate_odd_prime(bad)
-
-
-class TestPowMod:
-    @pytest.mark.parametrize(
-        "b,e,m,expected", [(2, 10, 1000, 24), (5, 0, 7, 1), (3, 3, 7, 6)]
-    )
-    def test_examples(self, b, e, m, expected):
-        assert pow_mod(b, e, m) == expected
-
-    @pytest.mark.parametrize("b,e,m", [(7, 2, 7), (-1, 2, 7), (3, -1, 7), (0, 1, 1)])
-    def test_domain_errors(self, b, e, m):
-        with pytest.raises(DomainError):
-            pow_mod(b, e, m)
-
-    @given(
-        st.integers(min_value=2, max_value=1 << 16),
-        st.integers(min_value=0, max_value=63),
-        st.data(),
-    )
-    def test_matches_repeated_multiplication(self, m, e, data):
-        b = data.draw(st.integers(min_value=0, max_value=m - 1))
-        assert pow_mod(b, e, m) == slow_pow_mod(b, e, m)
 
 
 class TestLegendre:
