@@ -27,7 +27,6 @@ from .errors import (
     ReciproError,
 )
 from .quotient_rank import (
-    DiagonalGamma,
     corollary_rank_for_primes,
     rank2_quotient_enumerated,
     rank2_quotient_formula,
@@ -62,7 +61,6 @@ from .residue_arith import (
 __all__ = [
     "AbelianGroup",
     "CapacityError",
-    "DiagonalGamma",
     "DomainError",
     "GroupElement",
     "GroupMismatchError",

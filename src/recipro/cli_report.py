@@ -5,7 +5,8 @@ Subcommands: ``verify`` (one pair), ``sweep`` (all pairs p < q <= max),
 
 Exit codes: 0 all checks passed; 1 at least one verification failed;
 2 invalid invocation (bad primes, bad bounds, over budget, unknown suite,
-malformed RECIPRO_MAX_BUDGET) or an I/O error on the report file.
+empty --out) or an I/O error on the report file.  Every cap is a fixed
+constant of :mod:`recipro.budget`, so the output depends only on argv.
 
 Reports are deterministic byte for byte given the same configuration and
 seed.  The only timestamp lives in the metadata: '#'-prefixed comment lines
@@ -20,6 +21,7 @@ import contextlib
 import errno
 import json
 import os
+import stat
 import sys
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
@@ -86,8 +88,6 @@ class RunConfig:
     p: int | None = None
     q: int | None = None
     max: int | None = None
-    which: str | None = None
-    n: int | None = None
 
     def meta_items(self) -> list[tuple[str, object]]:
         items: list[tuple[str, object]] = [
@@ -95,7 +95,7 @@ class RunConfig:
             ("command", self.command),
             ("seed", self.seed),
         ]
-        for name in ("p", "q", "max", "which", "n"):
+        for name in ("p", "q", "max"):
             value = getattr(self, name)
             if value is not None:
                 items.append((name, value))
@@ -133,28 +133,46 @@ def render_json(cfg: RunConfig, rows: list[SweepRow], summary: dict, timestamp: 
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _open_report(path: str, mode: str, out: str) -> TextIO:
+    try:
+        return open(path, mode, encoding="utf-8", newline="\n")
+    except OSError as exc:  # name the destination as given, not the temp file
+        raise OSError(exc.errno, exc.strerror, out) from None
+
+
 @contextlib.contextmanager
 def _report_stream(out: str | None) -> Iterator[TextIO]:
-    """Stdout, or a temp file beside `out` that replaces it once complete.
+    """Stdout, or the file `out` names once symlinks are resolved.
 
-    The temp file is opened on entry, before the caller verifies anything,
-    so a bad destination fails fast; on any error it is removed, so no run
-    leaves a partial report behind.
+    A regular or new file is written to a temp file beside it that replaces
+    it once complete; a device or FIFO is written in place, never replaced.
+    The stream is opened on entry, before the caller verifies anything, so a
+    bad destination fails fast; on any error the temp file is removed, so no
+    run leaves a partial report behind.
     """
     if out is None:
         yield sys.stdout
         return
-    if os.path.isdir(out):
-        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), out)
-    tmp = f"{out}.{os.getpid()}.tmp"
+    if not out:
+        raise DomainError("--out needs a file path, got ''")
     try:
-        handle = open(tmp, "x", encoding="utf-8", newline="\n")
-    except OSError as exc:  # name the destination, not the temp file
-        raise OSError(exc.errno, exc.strerror, out) from None
+        mode = os.stat(out).st_mode
+    except OSError:  # missing or unreachable: opening the temp file says which
+        mode = stat.S_IFREG
+    if stat.S_ISDIR(mode):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+    if not stat.S_ISREG(mode):
+        # opened through `out`, so links such as /dev/stdout resolve as the OS does
+        with _open_report(out, "w", out) as handle:
+            yield handle
+        return
+    dest = os.path.realpath(out)
+    tmp = f"{dest}.{os.getpid()}.tmp"
+    handle = _open_report(tmp, "x", out)
     try:
         with handle:
             yield handle
-        os.replace(tmp, out)
+        os.replace(tmp, dest)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
@@ -191,7 +209,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.max < 0:
         raise DomainError(f"--max must be nonnegative, got {args.max}")
-    stream_cap = budget.effective_cap(budget.STREAM_PRODUCT_CAP)
+    stream_cap = budget.STREAM_PRODUCT_CAP
     if args.max > stream_cap:
         raise DomainError(f"--max {args.max} is over the enumeration cap {stream_cap}")
     primes = odd_primes_up_to(args.max)
@@ -261,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        budget.env_limit()  # a malformed value fails every subcommand alike
         return args.func(args)
     except (DomainError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,60 +15,41 @@ Pure functions over immutable inputs, safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import budget
-from .abelian_core import AbelianGroup, GroupElement
+from .abelian_core import AbelianGroup
 from .errors import DomainError, InternalCheckError
 from .residue_arith import validate_odd_prime
 
 
-@dataclass(frozen=True)
-class DiagonalGamma:
-    """The order-2 subgroup {0, (n_1/2, ..., n_k/2)} of an all-even product."""
-
-    group: AbelianGroup
-    gamma: GroupElement
-
-    def __post_init__(self):
-        orders = self.group.factor_orders
-        if not orders or any(n % 2 for n in orders):
-            raise DomainError("diagonal subgroup needs a nonempty all-even factor list")
-        expected = tuple(n // 2 for n in orders)
-        if self.gamma.group != self.group or self.gamma.coords != expected:
-            raise DomainError(f"gamma must have coordinates {expected}")
-
-    @classmethod
-    def for_group(cls, group: AbelianGroup) -> DiagonalGamma:
-        if any(n % 2 for n in group.factor_orders):
-            raise DomainError("diagonal subgroup needs all factor orders even")
-        gamma = GroupElement(group, tuple(n // 2 for n in group.factor_orders))
-        return cls(group, gamma)
-
-
-def rank2_quotient_formula(orders: Sequence[int]) -> int:
-    """Closed form: k when 4 divides every order, else k - 1."""
+def _even_orders(orders: Sequence[int]) -> tuple[int, ...]:
     orders = tuple(orders)
     if not orders:
         raise DomainError("factor list must be nonempty")
     for n in orders:
         if not isinstance(n, int) or isinstance(n, bool) or n < 2 or n % 2:
             raise DomainError(f"factor orders must be even integers >= 2, got {n!r}")
+    return orders
+
+
+def rank2_quotient_formula(orders: Sequence[int]) -> int:
+    """Closed form: k when 4 divides every order, else k - 1."""
+    orders = _even_orders(orders)
     k = len(orders)
     return k if all(n % 4 == 0 for n in orders) else k - 1
 
 
-def rank2_quotient_enumerated(gamma: DiagonalGamma) -> int:
-    """Quotient 2-rank by counting the g in G with 2g in {0, gamma}.
+def rank2_quotient_enumerated(orders: Sequence[int]) -> int:
+    """Quotient 2-rank by counting the g in G with 2g in Gamma.
 
     The count must be 2 * 2**rank; any other value signals a bug in this
     package rather than bad input, hence InternalCheckError.
     """
-    G = gamma.group
+    orders = _even_orders(orders)
+    G = AbelianGroup(orders)
     budget.require_within(G.order, budget.QUOTIENT_ENUM_CAP, "quotient two-torsion count")
-    orders = G.factor_orders
-    target = gamma.gamma.coords
+    target = tuple(n // 2 for n in orders)
     count = 0
     for coords in G.iter_coords():
         doubled = tuple(2 * c % n for c, n in zip(coords, orders))

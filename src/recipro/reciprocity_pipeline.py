@@ -212,7 +212,7 @@ def verify_pair(p: int, q: int) -> PairVerdict:
 
     checks: dict[str, bool] = {}
     checks["product_matches_closed_form"] = product == closed
-    if p * q <= budget.effective_cap(budget.TRANSVERSAL_CAP):
+    if p * q <= budget.TRANSVERSAL_CAP:
         checks["transversal_valid"] = verify_transversal(L)
     sp = _residue_sign(product.a, p)
     sq = _residue_sign(product.b, q)

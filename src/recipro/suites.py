@@ -20,7 +20,6 @@ from .abelian_core import (
 )
 from .errors import DomainError
 from .quotient_rank import (
-    DiagonalGamma,
     rank2_quotient_enumerated,
     rank2_quotient_formula,
 )
@@ -185,9 +184,7 @@ def run_quotient_rank_suite(n_cases: int, seed: int) -> SuiteResult:
     outcomes = []
     for orders in cases:
         formula = rank2_quotient_formula(orders)
-        enumerated = rank2_quotient_enumerated(
-            DiagonalGamma.for_group(AbelianGroup(orders))
-        )
+        enumerated = rank2_quotient_enumerated(orders)
         outcomes.append((formula == enumerated, f"orders={orders}"))
     return _tally("lemma2", outcomes)
 

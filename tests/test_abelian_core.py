@@ -122,14 +122,6 @@ class TestTwoTorsion:
         with pytest.raises(CapacityError):
             two_torsion_subgroup(AbelianGroup((2,) * 23))
 
-    def test_env_var_lowers_cap(self, monkeypatch):
-        monkeypatch.setenv("RECIPRO_MAX_BUDGET", "100")
-        with pytest.raises(CapacityError):
-            two_torsion_subgroup(AbelianGroup((128,)))
-        monkeypatch.setenv("RECIPRO_MAX_BUDGET", "not-a-number")
-        with pytest.raises(DomainError):
-            two_torsion_subgroup(AbelianGroup((2,)))
-
 
 class TestRank2:
     @pytest.mark.parametrize(

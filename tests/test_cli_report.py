@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -174,6 +176,14 @@ class TestReportFile:
         assert err.count("\n") == 1 and "Is a directory" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_empty_destination_exits_2_before_verifying(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("recipro.cli_report.verify_pair", refuse_verify_pair)
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--p", "3", "--q", "5", "--out", ""]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--out" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_run_leaves_existing_report_untouched(self, tmp_path, monkeypatch):
         def failing_verify_pair(p, q):
             raise DomainError("injected")
@@ -193,6 +203,32 @@ class TestReportFile:
             "3,5,3,1,1,2,1,2,1,-1,-1,equal,true,true"
         )
         assert list(tmp_path.iterdir()) == [out]
+
+    def test_symlink_destination_stays_a_symlink(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("previous report\n", encoding="utf-8")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(["verify", "--p", "3", "--q", "5", "--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert csv_body(target.read_text(encoding="utf-8"))[1] == (
+            "3,5,3,1,1,2,1,2,1,-1,-1,equal,true,true"
+        )
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_fifo_destination_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        # a non-blocking reader lets the report be written without a thread
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["verify", "--p", "3", "--q", "5", "--out", str(fifo)]) == 0
+            report = os.read(fd, 1 << 16).decode("utf-8")
+        finally:
+            os.close(fd)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert csv_body(report)[1] == "3,5,3,1,1,2,1,2,1,-1,-1,equal,true,true"
+        assert list(tmp_path.iterdir()) == [fifo]
 
 
 class TestLemmaSuiteCommand:
@@ -233,32 +269,6 @@ class TestLegendreCommand:
     def test_invalid_exits_2(self):
         assert run_cli("legendre", "--a", "14", "--p", "7").returncode == 2
         assert run_cli("legendre", "--a", "2", "--p", "9").returncode == 2
-
-
-class TestBudgetEnv:
-    def test_lowered_budget_blocks_verify(self):
-        import os
-
-        env = dict(os.environ, RECIPRO_MAX_BUDGET="10")
-        result = run_cli("verify", "--p", "3", "--q", "5", env=env)
-        assert result.returncode == 2
-        assert "cap" in result.stderr
-
-    def test_malformed_budget_exits_2(self):
-        import os
-
-        env = dict(os.environ, RECIPRO_MAX_BUDGET="lots")
-        result = run_cli("verify", "--p", "3", "--q", "5", env=env)
-        assert result.returncode == 2
-
-    def test_malformed_budget_fails_legendre(self):
-        import os
-
-        env = dict(os.environ, RECIPRO_MAX_BUDGET="abc")
-        result = run_cli("legendre", "--a", "2", "--p", "7", env=env)
-        assert result.returncode == 2
-        assert result.stdout == ""
-        assert result.stderr == "error: RECIPRO_MAX_BUDGET must be an integer, got 'abc'\n"
 
 
 class TestSweepRowShape:

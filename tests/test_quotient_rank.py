@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 from recipro import (
     AbelianGroup,
     CapacityError,
-    DiagonalGamma,
     DomainError,
-    add,
     corollary_rank_for_primes,
     element_order,
     rank2_quotient_enumerated,
@@ -18,9 +16,8 @@ from _oracles import quotient_rank_by_cosets
 
 even_lists = st.lists(st.sampled_from([2, 4, 6, 8]), min_size=1, max_size=3)
 
-
-def enumerated(orders):
-    return rank2_quotient_enumerated(DiagonalGamma.for_group(AbelianGroup(orders)))
+# rejected alike by both routes: empty, an odd or zero order, a non-int
+BAD_ORDERS = [(), (3, 4), (0, 2), (4, 5), (2.0,)]
 
 
 class TestFormula:
@@ -30,30 +27,10 @@ class TestFormula:
     def test_examples(self, orders, expected):
         assert rank2_quotient_formula(orders) == expected
 
-    @pytest.mark.parametrize("bad", [(), (3, 4), (0, 2), (4, 5), (2.0,)])
+    @pytest.mark.parametrize("bad", BAD_ORDERS)
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
             rank2_quotient_formula(bad)
-
-
-class TestDiagonalGamma:
-    def test_for_group(self):
-        gamma = DiagonalGamma.for_group(AbelianGroup((4, 6)))
-        assert gamma.gamma.coords == (2, 3)
-        # the subgroup {0, gamma} really has order 2
-        assert element_order(gamma.gamma) == 2
-        assert add(gamma.gamma, gamma.gamma) == gamma.group.identity()
-
-    def test_rejects_odd_factor(self):
-        with pytest.raises(DomainError):
-            DiagonalGamma.for_group(AbelianGroup((4, 3)))
-        with pytest.raises(DomainError):
-            DiagonalGamma.for_group(AbelianGroup(()))
-
-    def test_rejects_wrong_gamma(self):
-        G = AbelianGroup((4, 4))
-        with pytest.raises(DomainError):
-            DiagonalGamma(G, G.element((2, 0)))
 
 
 class TestEnumerated:
@@ -61,32 +38,37 @@ class TestEnumerated:
         "orders,expected", [((4, 4), 2), ((6,), 0), ((2, 2), 1)]
     )
     def test_examples(self, orders, expected):
-        assert enumerated(orders) == expected
+        assert rank2_quotient_enumerated(orders) == expected
+
+    @pytest.mark.parametrize("bad", BAD_ORDERS)
+    def test_domain_errors(self, bad):
+        with pytest.raises(DomainError):
+            rank2_quotient_enumerated(bad)
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            enumerated((2,) * 19)
+            rank2_quotient_enumerated((2,) * 19)
 
     @given(even_lists)
     @settings(max_examples=60)
     def test_matches_formula(self, orders):
-        assert enumerated(orders) == rank2_quotient_formula(orders)
+        assert rank2_quotient_enumerated(orders) == rank2_quotient_formula(orders)
 
     @given(even_lists)
     @settings(max_examples=30, deadline=None)
     def test_matches_coset_materialization(self, orders):
-        assert enumerated(orders) == quotient_rank_by_cosets(orders)
+        assert rank2_quotient_enumerated(orders) == quotient_rank_by_cosets(orders)
 
     @given(even_lists)
     @settings(max_examples=60)
     def test_rank_bounds(self, orders):
         # the quotient keeps at least k-1 of the rank and never exceeds k
         k = len(orders)
-        assert k - 1 <= enumerated(orders) <= k
+        assert k - 1 <= rank2_quotient_enumerated(orders) <= k
 
     def test_seeded_generator_agreement(self):
         for orders in random_even_factor_lists(40, seed=20260810):
-            assert enumerated(orders) == rank2_quotient_formula(orders)
+            assert rank2_quotient_enumerated(orders) == rank2_quotient_formula(orders)
 
 
 class TestOrderFourCensus:

@@ -55,11 +55,6 @@ class TestBuildTransversal:
         with pytest.raises(CapacityError):
             build_transversal(1021, 2063)
 
-    def test_env_var_lowers_cap(self, monkeypatch):
-        monkeypatch.setenv("RECIPRO_MAX_BUDGET", "1000")
-        with pytest.raises(CapacityError):
-            build_transversal(31, 37)
-
 
 class TestProduct:
     def test_3_5(self):

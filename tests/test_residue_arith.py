@@ -127,11 +127,6 @@ class TestFactorialMod:
         with pytest.raises(CapacityError):
             factorial_mod(10_000_001, 7)
 
-    def test_env_var_lowers_cap(self, monkeypatch):
-        monkeypatch.setenv("RECIPRO_MAX_BUDGET", "100")
-        with pytest.raises(CapacityError):
-            factorial_mod(101, 7)
-
 
 class TestWilson:
     @pytest.mark.parametrize("p", [3, 5, 7])
@@ -169,6 +164,11 @@ class TestEulerCriterionCheck:
             if q % p == 0:
                 q += 1
             assert euler_criterion_check(q, p)
+
+    def test_capacity(self):
+        # 20000003 is prime and (p-1)/2 = 10000001 is one over the loop cap
+        with pytest.raises(CapacityError):
+            euler_criterion_check(2, 20_000_003)
 
 
 class TestPrimeListing:
