@@ -6,7 +6,9 @@ Gamma = {(1,1), (-1,-1)} has a canonical set of coset representatives:
     (k mod p, k mod q)  for 0 < k < pq/2 with p and q both not dividing k.
 
 verify_pair runs the whole chain for one pair: it takes the coordinatewise
-product of those representatives, compares it exactly against a closed form
+product of those representatives (read off a keep-mask over k, counting how
+many kept k fall in each residue class, so every k is read once per modulus
+and no closed form enters), compares it exactly against a closed form
 built from Legendre symbols, checks that the product sits inside Gamma or in
 the order-2 coset {(1,-1), (-1,1)} according to the 2-rank of the quotient,
 derives from that the predicted relation between (q/p) and (p/q), and
@@ -52,8 +54,8 @@ def _validate_pair(p: int, q: int) -> None:
 class Transversal:
     """Coset representatives (k mod p, k mod q), k ascending over (0, pq/2).
 
-    Holds only the primes; the representatives are generated on demand, so a
-    transversal costs a pq/2-byte mask while it is read and nothing after.
+    Holds only the primes; the representatives are generated on demand from
+    a keep-mask of pq/2 + 1 bytes, which costs memory only while it is read.
     """
 
     p: int
@@ -62,14 +64,24 @@ class Transversal:
     def __post_init__(self):
         _validate_pair(self.p, self.q)
 
-    def ks(self) -> Iterator[int]:
-        """The k in (0, pq/2) with p and q both not dividing k, ascending."""
+    def mask(self) -> bytearray:
+        """pq/2 + 1 bytes: keep[k] is 1 iff p and q both do not divide k.
+
+        Indexed by k over 0..pq//2 (k = 0 is a multiple of both, so
+        unmarked), the marked k are exactly the k of the representatives.
+        product_over_transversal counts its residue classes; ks() lists it.
+        """
         p, q = self.p, self.q
         half = p * q // 2
         keep = bytearray([1]) * (half + 1)
         keep[::p] = bytes(len(range(0, half + 1, p)))
         keep[::q] = bytes(len(range(0, half + 1, q)))
-        return compress(range(half + 1), keep)
+        return keep
+
+    def ks(self) -> Iterator[int]:
+        """The marked k of the mask, ascending; what __iter__ and validation read."""
+        keep = self.mask()
+        return compress(range(len(keep)), keep)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         p, q = self.p, self.q
@@ -83,15 +95,36 @@ def build_transversal(p: int, q: int) -> Transversal:
     return L
 
 
+# Below this many k per residue class of a modulus, slicing out the classes
+# costs more than multiplying k by k (measured crossover near pq = 2^21).
+MIN_COUNTED_CLASS = 8
+
+
+def _product_mod(keep: bytearray, m: int) -> int:
+    """Product of the marked k, mod m."""
+    acc = 1
+    if len(keep) < MIN_COUNTED_CLASS * m:
+        for k in compress(range(len(keep)), keep):
+            acc = acc * k % m
+        return acc
+    # keep[r::m] is the class of k = r (mod m); r = 0 is included, so a
+    # marked multiple of m makes the product 0
+    for r in range(m):
+        acc = acc * pow(r, keep[r::m].count(1), m) % m
+    return acc
+
+
 def product_over_transversal(L: Transversal) -> UnitPair:
-    """Componentwise product of all entries, reduced mod p and mod q each step."""
-    p, q = L.p, L.q
-    ap = aq = 1
-    # ap * k = ap * (k mod p) (mod p): the entries are multiplied without forming them
-    for k in L.ks():
-        ap = ap * k % p
-        aq = aq * k % q
-    return UnitPair(ap, aq)
+    """Componentwise product of all entries, read off L's mask once per modulus.
+
+    The coordinate mod m is the product of r^(number of marked k = r mod m)
+    over all residues r, with every class counted from the mask; when m's
+    classes would hold fewer than MIN_COUNTED_CLASS k each (a small partner
+    prime), the marked k are multiplied one by one instead.  Either way every
+    k is read and the entries are never formed.
+    """
+    keep = L.mask()
+    return UnitPair(_product_mod(keep, L.p), _product_mod(keep, L.q))
 
 
 def closed_form_product(p: int, q: int) -> UnitPair:

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import isqrt
 
 from . import budget
-from .errors import DomainError, InternalCheckError
+from .errors import CapacityError, DomainError, InternalCheckError
 
 _INT64_LIMIT = 1 << 64
 
@@ -168,13 +168,21 @@ def odd_primes_up_to(n: int) -> list[int]:
     return [p for p in primes_up_to(n) if p != 2]
 
 
-def first_odd_primes(count: int) -> list[int]:
-    """The first `count` odd primes, ascending."""
+def first_odd_primes(count: int, limit: int) -> list[int]:
+    """The first `count` odd primes, ascending, sieving no further than limit.
+
+    Raises CapacityError when fewer than `count` odd primes are <= limit.
+    """
     if count < 0:
         raise DomainError(f"count must be nonnegative, got {count}")
     bound = 64
     while True:
+        bound = min(bound, limit)
         primes = odd_primes_up_to(bound)
         if len(primes) >= count:
             return primes[:count]
+        if bound == limit:
+            raise CapacityError(
+                f"{count} odd primes requested, only {len(primes)} are <= {limit}"
+            )
         bound *= 2

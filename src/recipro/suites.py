@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from math import isqrt, prod
 
+from . import budget
 from .abelian_core import (
     AbelianGroup,
     element_order,
@@ -201,9 +202,13 @@ def run_euler_suite(n_cases: int, seed: int) -> SuiteResult:
 def run_wilson_suite(n_cases: int, seed: int = 0) -> SuiteResult:
     """Suite ``wilson``: (p-1)! = -1 mod p for the first n odd primes.
 
-    Deterministic; the seed is accepted for interface uniformity only.
+    The primes are sieved only up to the largest p whose (p-1)! is within
+    the factorial loop cap; asking for more raises CapacityError before any
+    check runs.  Deterministic; the seed is accepted for interface
+    uniformity only.
     """
-    outcomes = [(wilson_check(p), f"p={p}") for p in first_odd_primes(n_cases)]
+    primes = first_odd_primes(n_cases, budget.FACTORIAL_LOOP_CAP + 1)
+    outcomes = [(wilson_check(p), f"p={p}") for p in primes]
     return _tally("wilson", outcomes)
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from recipro import DomainError, UnitPair
+from recipro import DomainError, UnitPair, budget
 from recipro.cli_report import SWEEP_FIELDS, SweepRow, main
 from recipro.reciprocity_pipeline import PairVerdict
 
@@ -251,6 +251,12 @@ class TestLemmaSuiteCommand:
     def test_euler(self):
         result = run_cli("lemma-suite", "--which", "euler", "--n", "10", "--seed", "1")
         assert result.returncode == 0
+
+    def test_wilson_over_cap_exits_2(self, monkeypatch, capsys):
+        # 26 odd primes need p = 103, one past the largest p a cap of 100 admits
+        monkeypatch.setattr(budget, "FACTORIAL_LOOP_CAP", 100)
+        assert main(["lemma-suite", "--which", "wilson", "--n", "26"]) == 2
+        assert "only 25 are <= 101" in capsys.readouterr().err
 
     def test_unknown_suite_exits_2(self):
         result = run_cli("lemma-suite", "--which", "lemma9", "--n", "5")

@@ -1,6 +1,8 @@
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recipro import (
     CapacityError,
@@ -23,6 +25,8 @@ SMALL_PAIRS = [
     for i, p in enumerate(odd_primes_up_to(60))
     for q in odd_primes_up_to(60)[i + 1 :]
 ]
+# every odd prime with an odd prime partner r != p, pr <= 2 * 10**5
+PROPERTY_PRIMES = odd_primes_up_to(200_000 // 3)
 
 
 class TestBuildTransversal:
@@ -69,12 +73,29 @@ class TestProduct:
             assert product_over_transversal(L) == closed_form_product(p, q), (p, q)
 
     @pytest.mark.parametrize(
-        "p,q", [(3, 5), (7, 11), (13, 19), (31, 37), (449, 457), (1021, 2053)]
+        "p,q",
+        [(3, 5), (7, 11), (13, 19), (31, 37), (449, 457), (1021, 2053),
+         (3, 199), (13, 1009), (17, 1009)],
     )
     def test_matches_streamed_oracle(self, p, q):
         # the small pairs are under the validation cap, (449, 457) just over
-        # it and (1021, 2053) just under the product cap
+        # it and (1021, 2053) just under the product cap.  In the last three
+        # the classes mod 3 and mod 13 are counted while mod q, with classes
+        # of p/2 < 8 k, the k are multiplied one by one; at 17 both are counted
         assert product_over_transversal(build_transversal(p, q)) == streamed_product(p, q)
+
+    @pytest.mark.parametrize("p,q", [(7, 11), (3, 199), (13, 1009), (17, 1009)])
+    def test_marked_multiples_zero_the_product(self, monkeypatch, p, q):
+        # a marked multiple of p (of q) must zero coordinate a (b) on either route
+        original = Transversal.mask
+
+        def marked(L):
+            keep = original(L)
+            keep[p] = keep[q] = 1
+            return keep
+
+        monkeypatch.setattr(Transversal, "mask", marked)
+        assert product_over_transversal(build_transversal(p, q)) == UnitPair(0, 0)
 
 
 class TestClosedForm:
@@ -190,6 +211,18 @@ class TestVerifyPair:
         assert "transversal_valid" not in v.checks
         assert v.all_pass
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_random_pairs_pass_and_match_oracle(self, data):
+        p = data.draw(st.sampled_from(PROPERTY_PRIMES), label="p")
+        q = data.draw(
+            st.sampled_from([r for r in PROPERTY_PRIMES if r != p and p * r <= 200_000]),
+            label="q",
+        )
+        v = verify_pair(p, q)
+        assert v.all_pass
+        assert v.product_L == streamed_product(p, q)
+
     @pytest.mark.parametrize("p,q", [(3, 3), (4, 5), (3, 2)])
     def test_domain_errors(self, p, q):
         with pytest.raises(DomainError):
@@ -209,12 +242,12 @@ class TestFaultInjection:
     """Each injected fault trips exactly the named checks that depend on it."""
 
     @staticmethod
-    def tamper_ks(monkeypatch, tamper):
-        original = Transversal.ks
-        monkeypatch.setattr(Transversal, "ks", lambda L: iter(tamper(list(original(L)))))
+    def tamper_mask(monkeypatch, tamper):
+        original = Transversal.mask
+        monkeypatch.setattr(Transversal, "mask", lambda L: tamper(original(L)))
 
     def test_k_shifted_by_one(self, monkeypatch):
-        self.tamper_ks(monkeypatch, lambda ks: [k + 1 for k in ks])
+        self.tamper_mask(monkeypatch, lambda keep: bytearray(1) + keep[:-1])
         assert failed_checks(verify_pair(7, 11)) == {
             "product_matches_closed_form",
             "transversal_valid",
@@ -223,11 +256,31 @@ class TestFaultInjection:
 
     def test_k_dropped(self, monkeypatch):
         # k = 1 contributes (1, 1): the product cannot notice it is gone
-        self.tamper_ks(monkeypatch, lambda ks: ks[1:])
+        def unmark_1(keep):
+            keep[1] = 0
+            return keep
+
+        self.tamper_mask(monkeypatch, unmark_1)
         assert failed_checks(verify_pair(7, 11)) == {"transversal_valid"}
 
+    def test_non_unit_k_marked(self, monkeypatch):
+        # k = 7 is (0, 7): the product's first coordinate becomes 0
+        def mark_7(keep):
+            keep[7] = 1
+            return keep
+
+        self.tamper_mask(monkeypatch, mark_7)
+        assert failed_checks(verify_pair(7, 11)) == {
+            "product_matches_closed_form",
+            "transversal_valid",
+            "rank_sign_dichotomy",
+        }
+
     def test_k_duplicated(self, monkeypatch):
-        self.tamper_ks(monkeypatch, lambda ks: ks[:1] + ks)
+        # a mask cannot repeat a k, but the k read by verify_transversal can;
+        # the product reads the mask, so only transversal_valid sees it
+        original = Transversal.ks
+        monkeypatch.setattr(Transversal, "ks", lambda L: iter([1, *original(L)]))
         assert failed_checks(verify_pair(7, 11)) == {"transversal_valid"}
 
     def test_legendre_symbol_flipped(self, monkeypatch):

@@ -181,8 +181,11 @@ class TestPrimeListing:
         assert odd_primes_up_to(20) == [3, 5, 7, 11, 13, 17, 19]
 
     def test_first_odd_primes(self):
-        assert first_odd_primes(5) == [3, 5, 7, 11, 13]
-        assert first_odd_primes(0) == []
+        assert first_odd_primes(5, 13) == [3, 5, 7, 11, 13]
+        assert first_odd_primes(0, 13) == []
+        assert first_odd_primes(20, 1000) == odd_primes_up_to(73)
+        with pytest.raises(CapacityError):
+            first_odd_primes(6, 16)
 
     def test_sieve_matches_miller_rabin(self):
         sieved = set(primes_up_to(5000))

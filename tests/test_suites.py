@@ -2,7 +2,7 @@ from math import prod
 
 import pytest
 
-from recipro import DomainError, is_prime
+from recipro import CapacityError, DomainError, budget, is_prime, suites
 from recipro.suites import (
     EVEN_FACTOR_CHOICES,
     FORCED_EVEN_CASES,
@@ -65,6 +65,22 @@ class TestRunners:
     def test_wilson(self):
         result = run_suite("wilson", 10, 0)
         assert result.all_pass and result.total == 10
+
+    def test_wilson_sieve_stops_at_factorial_cap(self, monkeypatch):
+        # with a cap of 100 the largest p checked is 101, the 25th odd prime
+        monkeypatch.setattr(budget, "FACTORIAL_LOOP_CAP", 100)
+        checked = []
+        wilson_check = suites.wilson_check
+        monkeypatch.setattr(
+            suites, "wilson_check", lambda p: checked.append(p) or wilson_check(p)
+        )
+        result = run_suite("wilson", 25, 0)
+        assert result.all_pass and result.total == 25
+        assert checked[-1] == 101
+        checked.clear()
+        with pytest.raises(CapacityError):
+            run_suite("wilson", 26, 0)
+        assert checked == []
 
     def test_unknown_suite(self):
         with pytest.raises(DomainError):
