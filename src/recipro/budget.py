@@ -12,8 +12,8 @@ from .errors import CapacityError
 GROUP_ENUM_CAP = 1 << 22         # full enumeration of an abelian group
 QUOTIENT_ENUM_CAP = 1 << 18      # two-torsion counting modulo the diagonal subgroup
 STREAM_PRODUCT_CAP = 1 << 21     # transversal product, one pass over 0 < k < pq/2
-TRANSVERSAL_CAP = 200_000        # transversal validation, bound on pq
 FACTORIAL_LOOP_CAP = 10_000_000  # factorial-style running products
+WILSON_CASE_CAP = 664_578        # wilson suite: the odd primes <= FACTORIAL_LOOP_CAP + 1
 SQUARE_ORACLE_CAP = 100_000      # square-enumeration oracle, bound on the modulus
 
 

@@ -8,12 +8,13 @@ Gamma = {(1,1), (-1,-1)} has a canonical set of coset representatives:
 verify_pair runs the whole chain for one pair: it takes the coordinatewise
 product of those representatives (read off a keep-mask over k, counting how
 many kept k fall in each residue class, so every k is read once per modulus
-and no closed form enters), compares it exactly against a closed form
-built from Legendre symbols, checks that the product sits inside Gamma or in
-the order-2 coset {(1,-1), (-1,1)} according to the 2-rank of the quotient,
-derives from that the predicted relation between (q/p) and (p/q), and
-cross-checks the reciprocity identity with directly computed symbols.  All
-named checks are recorded; a failure never aborts the remaining checks.
+and no closed form enters), checks on that same mask that the marked k are
+one representative per coset, compares the product exactly against a closed
+form built from Legendre symbols, checks that the product sits inside Gamma
+or in the order-2 coset {(1,-1), (-1,1)} according to the 2-rank of the
+quotient, derives from that the predicted relation between (q/p) and (p/q),
+and cross-checks the reciprocity identity with directly computed symbols.
+All named checks are recorded; a failure never aborts the remaining checks.
 
 Pure functions throughout; sweeps over many pairs may run concurrently.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import budget
 from .errors import DomainError
@@ -54,8 +55,9 @@ def _validate_pair(p: int, q: int) -> None:
 class Transversal:
     """Coset representatives (k mod p, k mod q), k ascending over (0, pq/2).
 
-    Holds only the primes; the representatives are generated on demand from
-    a keep-mask of pq/2 + 1 bytes, which costs memory only while it is read.
+    Holds only the primes; the representatives are described by a keep-mask
+    over k of pq/2 + 1 bytes, built on demand, which costs memory only while
+    it is read.  The entries themselves are never formed.
     """
 
     p: int
@@ -69,7 +71,8 @@ class Transversal:
 
         Indexed by k over 0..pq//2 (k = 0 is a multiple of both, so
         unmarked), the marked k are exactly the k of the representatives.
-        product_over_transversal counts its residue classes; ks() lists it.
+        product_over_transversal counts its residue classes and
+        verify_transversal checks it; each builds its own copy.
         """
         p, q = self.p, self.q
         half = p * q // 2
@@ -77,15 +80,6 @@ class Transversal:
         keep[::p] = bytes(len(range(0, half + 1, p)))
         keep[::q] = bytes(len(range(0, half + 1, q)))
         return keep
-
-    def ks(self) -> Iterator[int]:
-        """The marked k of the mask, ascending; what __iter__ and validation read."""
-        keep = self.mask()
-        return compress(range(len(keep)), keep)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        p, q = self.p, self.q
-        return ((k % p, k % q) for k in self.ks())
 
 
 def build_transversal(p: int, q: int) -> Transversal:
@@ -139,32 +133,23 @@ def closed_form_product(p: int, q: int) -> UnitPair:
 
 
 def verify_transversal(L: Transversal) -> bool:
-    """True iff L reads as exactly the canonical representative set.
+    """True iff L's mask marks exactly one k per coset of Gamma.
 
-    Checked while reading L's pairs: every entry is a unit pair; the
-    Chinese-remainder lift of every entry lands in (0, pq/2); the lifts are
-    pairwise distinct; and there are (p-1)(q-1)/2 of them.  Distinct
-    lower-half lifts already rule out both duplicates and componentwise-
-    negative pairs (x and -x lift to k and pq - k), and with the count they
-    force one representative per coset.  The lift route is independent of
-    how L generates its pairs.
+    Checked on the mask the product reads, with C-speed slices: it covers
+    k = 0..pq//2; no multiple of p and no multiple of q is marked; and
+    (p-1)(q-1)/2 k are marked.  That is enough: the units mod pq come in
+    pairs k, pq - k (the CRT lifts of x and -x), exactly one of each pair
+    lies in (0, pq/2), so marking only units, and as many as there are
+    pairs, marks every lower-half unit and hence one k per coset.
     """
     p, q = L.p, L.q
-    n = p * q
-    c1 = q * pow(q, -1, p)  # 1 mod p, 0 mod q
-    c2 = p * pow(p, -1, q)  # 0 mod p, 1 mod q
-    half = n // 2
-    seen = bytearray(half + 1)
-    count = 0
-    for a, b in L:
-        if not (0 < a < p and 0 < b < q):
-            return False
-        k = (a * c1 + b * c2) % n
-        if k > half or seen[k]:
-            return False
-        seen[k] = 1
-        count += 1
-    return count == (p - 1) * (q - 1) // 2
+    keep = L.mask()
+    return (
+        len(keep) == p * q // 2 + 1
+        and not any(keep[::p])
+        and not any(keep[::q])
+        and keep.count(1) == (p - 1) * (q - 1) // 2
+    )
 
 
 def _residue_sign(r: int, m: int) -> int | None:
@@ -222,9 +207,8 @@ def verify_pair(p: int, q: int) -> PairVerdict:
 
     * ``product_matches_closed_form`` -- transversal product equals the
       Legendre closed form, coordinatewise and exactly;
-    * ``transversal_valid`` -- the representative set the product read
-      checks out (present only while pq is within the validation cap,
-      ``TRANSVERSAL_CAP``; above it this check is skipped);
+    * ``transversal_valid`` -- the mask the product read marks exactly one
+      k per coset of Gamma (checked for every pair);
     * ``rank_sign_dichotomy`` -- the product's coordinates are both signs
       (1 or -1 residues), equal when the quotient rank is 2 and opposite
       when it is 1; any non-sign residue fails the check outright;
@@ -245,8 +229,7 @@ def verify_pair(p: int, q: int) -> PairVerdict:
 
     checks: dict[str, bool] = {}
     checks["product_matches_closed_form"] = product == closed
-    if p * q <= budget.TRANSVERSAL_CAP:
-        checks["transversal_valid"] = verify_transversal(L)
+    checks["transversal_valid"] = verify_transversal(L)
     sp = _residue_sign(product.a, p)
     sq = _residue_sign(product.b, q)
     if sp is None or sq is None:

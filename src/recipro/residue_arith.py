@@ -13,7 +13,8 @@ concurrently.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
+from itertools import compress
+from math import isqrt, log
 
 from . import budget
 from .errors import CapacityError, DomainError, InternalCheckError
@@ -160,29 +161,28 @@ def primes_up_to(n: int) -> list[int]:
     for i in range(2, isqrt(n) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(compress(range(n + 1), sieve))
 
 
 def odd_primes_up_to(n: int) -> list[int]:
     """All odd primes <= n, ascending."""
-    return [p for p in primes_up_to(n) if p != 2]
+    return primes_up_to(n)[1:]  # 2 comes first whenever there is any prime
 
 
 def first_odd_primes(count: int, limit: int) -> list[int]:
-    """The first `count` odd primes, ascending, sieving no further than limit.
+    """The first `count` odd primes, ascending, from one sieve up to at most limit.
 
-    Raises CapacityError when fewer than `count` odd primes are <= limit.
+    The sieve stops at Rosser's bound on the prime that is needed.  Raises
+    CapacityError when fewer than `count` odd primes are <= limit.
     """
     if count < 0:
         raise DomainError(f"count must be nonnegative, got {count}")
-    bound = 64
-    while True:
-        bound = min(bound, limit)
-        primes = odd_primes_up_to(bound)
-        if len(primes) >= count:
-            return primes[:count]
-        if bound == limit:
-            raise CapacityError(
-                f"{count} odd primes requested, only {len(primes)} are <= {limit}"
-            )
-        bound *= 2
+    n = count + 1  # the last one needed is the n-th prime, 2 being skipped
+    # Rosser: p_n < n (ln n + ln ln n) for n >= 6; below that p_n <= p_5 = 11
+    bound = int(n * (log(n) + log(log(n)))) + 1 if n >= 6 else 11
+    primes = odd_primes_up_to(min(bound, limit))
+    if len(primes) < count:
+        raise CapacityError(
+            f"{count} odd primes requested, only {len(primes)} are <= {limit}"
+        )
+    return primes[:count]

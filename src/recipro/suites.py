@@ -203,10 +203,11 @@ def run_wilson_suite(n_cases: int, seed: int = 0) -> SuiteResult:
     """Suite ``wilson``: (p-1)! = -1 mod p for the first n odd primes.
 
     The primes are sieved only up to the largest p whose (p-1)! is within
-    the factorial loop cap; asking for more raises CapacityError before any
-    check runs.  Deterministic; the seed is accepted for interface
-    uniformity only.
+    the factorial loop cap.  Asking for more primes than lie below it,
+    budget.WILSON_CASE_CAP, raises CapacityError before anything is sieved.
+    Deterministic; the seed is accepted for interface uniformity only.
     """
+    budget.require_within(n_cases, budget.WILSON_CASE_CAP, "wilson suite")
     primes = first_odd_primes(n_cases, budget.FACTORIAL_LOOP_CAP + 1)
     outcomes = [(wilson_check(p), f"p={p}") for p in primes]
     return _tally("wilson", outcomes)

@@ -95,3 +95,30 @@ def streamed_product(p, q):
         ap = ap * ra % p
         aq = aq * rb % q
     return ap, aq
+
+
+def crt_transversal_ok(p, q, pairs):
+    """True iff `pairs` is one representative per coset of {(1,1), (-1,-1)}.
+
+    Checks the group-side statement pair by pair: every entry is a unit
+    pair; its Chinese-remainder lift lands in (0, pq/2); the lifts are
+    pairwise distinct; and there are (p-1)(q-1)/2 of them.  Distinct
+    lower-half lifts rule out both duplicates and componentwise-negative
+    pairs (x and -x lift to k and pq - k), and with the count they force one
+    representative per coset.
+    """
+    n = p * q
+    c1 = q * pow(q, -1, p)  # 1 mod p, 0 mod q
+    c2 = p * pow(p, -1, q)  # 0 mod p, 1 mod q
+    half = n // 2
+    seen = set()
+    count = 0
+    for a, b in pairs:
+        if not (0 < a < p and 0 < b < q):
+            return False
+        k = (a * c1 + b * c2) % n
+        if k > half or k in seen:
+            return False
+        seen.add(k)
+        count += 1
+    return count == (p - 1) * (q - 1) // 2

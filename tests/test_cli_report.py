@@ -258,6 +258,12 @@ class TestLemmaSuiteCommand:
         assert main(["lemma-suite", "--which", "wilson", "--n", "26"]) == 2
         assert "only 25 are <= 101" in capsys.readouterr().err
 
+    def test_wilson_over_case_cap_exits_2_with_one_line(self, capsys):
+        assert main(["lemma-suite", "--which", "wilson", "--n", "700000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: wilson suite needs 700000 steps, over the cap of 664578\n"
+
     def test_unknown_suite_exits_2(self):
         result = run_cli("lemma-suite", "--which", "lemma9", "--n", "5")
         assert result.returncode == 2

@@ -1,5 +1,3 @@
-from dataclasses import dataclass
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +16,7 @@ from recipro import (
     verify_pair,
     verify_transversal,
 )
-from _oracles import streamed_product
+from _oracles import crt_transversal_ok, streamed_product
 
 SMALL_PAIRS = [
     (p, q)
@@ -27,25 +25,89 @@ SMALL_PAIRS = [
 ]
 # every odd prime with an odd prime partner r != p, pr <= 2 * 10**5
 PROPERTY_PRIMES = odd_primes_up_to(200_000 // 3)
+SWEEP_200_PAIRS = [
+    (p, q)
+    for i, p in enumerate(odd_primes_up_to(200))
+    for q in odd_primes_up_to(200)[i + 1 :]
+]
+
+
+def marked_ks(L):
+    """The k that L's mask marks, ascending."""
+    keep = L.mask()
+    return [k for k in range(len(keep)) if keep[k]]
+
+
+def entries(L):
+    """The representatives (k mod p, k mod q) of the marked k, k ascending."""
+    return [(k % L.p, k % L.q) for k in marked_ks(L)]
+
+
+# Mask faults on a pair (p, q), each tripping one or more of the four
+# conditions verify_transversal checks on the mask.
+def shift_by_one(keep, p, q):
+    return bytearray(1) + keep[:-1]
+
+
+def unmark_1(keep, p, q):
+    # count: one k short
+    keep[1] = 0
+    return keep
+
+
+def mark_p(keep, p, q):
+    # multiples of p, and the count
+    keep[p] = 1
+    return keep
+
+
+def swap_1_for_p(keep, p, q):
+    # multiples of p only
+    keep[1], keep[p] = 0, 1
+    return keep
+
+
+def swap_1_for_q(keep, p, q):
+    # multiples of q only
+    keep[1], keep[q] = 0, 1
+    return keep
+
+
+def extend_and_swap_1_for_pq_minus_1(keep, p, q):
+    # length only: k = pq - 1 is a unit, the negation of k = 1
+    keep += bytes(p * q - len(keep))
+    keep[1], keep[p * q - 1] = 0, 1
+    return keep
+
+
+MASK_FAULTS = [
+    shift_by_one, unmark_1, mark_p, swap_1_for_p, swap_1_for_q,
+    extend_and_swap_1_for_pq_minus_1,
+]
+
+
+def tamper_mask(monkeypatch, tamper):
+    original = Transversal.mask
+    monkeypatch.setattr(Transversal, "mask", lambda L: tamper(original(L), L.p, L.q))
 
 
 class TestBuildTransversal:
     def test_3_5(self):
         L = build_transversal(3, 5)
         # k runs over {1, 2, 4, 7}
-        assert tuple(L.ks()) == (1, 2, 4, 7)
-        assert tuple(L) == (UnitPair(1, 1), UnitPair(2, 2), UnitPair(1, 4), UnitPair(1, 2))
-        assert len(tuple(L)) == 4 == (3 - 1) * (5 - 1) // 2
+        assert marked_ks(L) == [1, 2, 4, 7]
+        assert entries(L) == [(1, 1), (2, 2), (1, 4), (1, 2)]
+        assert len(entries(L)) == 4 == (3 - 1) * (5 - 1) // 2
 
     def test_3_7(self):
         L = build_transversal(3, 7)
         # k runs over {1, 2, 4, 5, 8, 10}
-        assert [(a, b) for a, b in L] == [(1, 1), (2, 2), (1, 4), (2, 5), (2, 1), (1, 3)]
-        assert len(tuple(L)) == 6
+        assert entries(L) == [(1, 1), (2, 2), (1, 4), (2, 5), (2, 1), (1, 3)]
+        assert len(entries(L)) == 6
 
     def test_size_formula(self):
         for p, q in SMALL_PAIRS:
-            assert len(tuple(build_transversal(p, q))) == (p - 1) * (q - 1) // 2
+            assert len(marked_ks(build_transversal(p, q))) == (p - 1) * (q - 1) // 2
 
     @pytest.mark.parametrize("p,q", [(3, 3), (4, 5), (3, 2), (3, 9)])
     def test_domain_errors(self, p, q):
@@ -53,8 +115,8 @@ class TestBuildTransversal:
             build_transversal(p, q)
 
     def test_capacity(self):
-        # 449 * 457 = 205193 is over the validation cap but builds;
-        # 1021 * 2063 = 2106323 is over the product cap 2**21
+        # 449 * 457 = 205193 builds; 1021 * 2063 = 2106323 is over the
+        # product cap 2**21
         assert build_transversal(449, 457).p == 449
         with pytest.raises(CapacityError):
             build_transversal(1021, 2063)
@@ -78,8 +140,7 @@ class TestProduct:
          (3, 199), (13, 1009), (17, 1009)],
     )
     def test_matches_streamed_oracle(self, p, q):
-        # the small pairs are under the validation cap, (449, 457) just over
-        # it and (1021, 2053) just under the product cap.  In the last three
+        # (1021, 2053) is just under the product cap.  In the last three
         # the classes mod 3 and mod 13 are counted while mod q, with classes
         # of p/2 < 8 k, the k are multiplied one by one; at 17 both are counted
         assert product_over_transversal(build_transversal(p, q)) == streamed_product(p, q)
@@ -113,52 +174,55 @@ class TestClosedForm:
             assert b in (1, q - 1)
 
 
-@dataclass
-class Listed:
-    """A stand-in transversal that reads back exactly the pairs it is given."""
-
-    p: int
-    q: int
-    pairs: tuple
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-
 class TestVerifyTransversal:
     def test_built_lists_pass(self):
         for p, q in [(3, 5), (3, 7), (5, 13), (17, 19)]:
             assert verify_transversal(build_transversal(p, q))
 
+    def test_agrees_with_crt_oracle_on_sweep_200(self):
+        for p, q in SWEEP_200_PAIRS:
+            L = build_transversal(p, q)
+            assert verify_transversal(L) and crt_transversal_ok(p, q, entries(L)), (p, q)
+
+    @pytest.mark.parametrize("fault", MASK_FAULTS)
+    @pytest.mark.parametrize("p,q", [(7, 11), (3, 199), (13, 1009)])
+    def test_faults_agree_with_crt_oracle(self, monkeypatch, fault, p, q):
+        tamper_mask(monkeypatch, fault)
+        L = build_transversal(p, q)
+        assert not verify_transversal(L)
+        assert not crt_transversal_ok(p, q, entries(L))
+
+    # The CRT oracle, pair by pair, on listed pairs that no mask can describe
+
     def test_listed_canonical_pairs_pass(self):
-        assert verify_transversal(Listed(3, 5, tuple(build_transversal(3, 5))))
+        assert crt_transversal_ok(3, 5, entries(build_transversal(3, 5)))
 
     def test_duplicate_appended(self):
-        pairs = tuple(build_transversal(3, 5))
-        assert not verify_transversal(Listed(3, 5, pairs + (pairs[0],)))
+        pairs = entries(build_transversal(3, 5))
+        assert not crt_transversal_ok(3, 5, pairs + [pairs[0]])
 
     def test_duplicate_in_place_of_an_entry(self):
         # the count still matches, so only the distinct-lift check can catch it
-        pairs = tuple(build_transversal(3, 5))
-        assert not verify_transversal(Listed(3, 5, pairs[:-1] + (pairs[0],)))
+        pairs = entries(build_transversal(3, 5))
+        assert not crt_transversal_ok(3, 5, pairs[:-1] + [pairs[0]])
 
     def test_entry_replaced_by_negation(self):
         # (2, 4) = -(1, 1) lifts to k = 14, outside (0, pq/2)
-        pairs = tuple(build_transversal(3, 5))
-        assert not verify_transversal(Listed(3, 5, ((2, 4),) + pairs[1:]))
+        pairs = entries(build_transversal(3, 5))
+        assert not crt_transversal_ok(3, 5, [(2, 4)] + pairs[1:])
 
     def test_entry_dropped(self):
-        pairs = tuple(build_transversal(3, 5))
-        assert not verify_transversal(Listed(3, 5, pairs[1:]))
+        pairs = entries(build_transversal(3, 5))
+        assert not crt_transversal_ok(3, 5, pairs[1:])
 
     def test_non_unit_entry(self):
-        pairs = tuple(build_transversal(3, 5))
-        assert not verify_transversal(Listed(3, 5, ((0, 1),) + pairs[1:]))
+        pairs = entries(build_transversal(3, 5))
+        assert not crt_transversal_ok(3, 5, [(0, 1)] + pairs[1:])
 
     def test_gamma_equivalent_pair_present(self):
         # replace the second entry with the negation of the first
-        pairs = tuple(build_transversal(3, 7))
-        assert not verify_transversal(Listed(3, 7, (pairs[0], (2, 6)) + pairs[2:]))
+        pairs = entries(build_transversal(3, 7))
+        assert not crt_transversal_ok(3, 7, [pairs[0], (2, 6)] + pairs[2:])
 
 
 class TestVerifyPair:
@@ -205,11 +269,12 @@ class TestVerifyPair:
             signs = (1 if v.product_L.a == 1 else -1) * (1 if v.product_L.b == 1 else -1)
             assert signs == (1 if v.rank == 2 else -1), (p, q)
 
-    def test_streams_above_transversal_cap(self):
-        # 401 * 503 = 201703: over the validation cap, inside the product cap
-        v = verify_pair(401, 503)
-        assert "transversal_valid" not in v.checks
-        assert v.all_pass
+    def test_transversal_validated_for_large_pairs(self):
+        # the largest pairs the product cap admits are validated too
+        for p, q in [(401, 503), (1021, 2053), (3, 699037)]:
+            v = verify_pair(p, q)
+            assert v.checks["transversal_valid"], (p, q)
+            assert v.all_pass, (p, q)
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -222,6 +287,8 @@ class TestVerifyPair:
         v = verify_pair(p, q)
         assert v.all_pass
         assert v.product_L == streamed_product(p, q)
+        L = build_transversal(p, q)
+        assert verify_transversal(L) and crt_transversal_ok(p, q, entries(L))
 
     @pytest.mark.parametrize("p,q", [(3, 3), (4, 5), (3, 2)])
     def test_domain_errors(self, p, q):
@@ -241,13 +308,8 @@ def failed_checks(verdict):
 class TestFaultInjection:
     """Each injected fault trips exactly the named checks that depend on it."""
 
-    @staticmethod
-    def tamper_mask(monkeypatch, tamper):
-        original = Transversal.mask
-        monkeypatch.setattr(Transversal, "mask", lambda L: tamper(original(L)))
-
     def test_k_shifted_by_one(self, monkeypatch):
-        self.tamper_mask(monkeypatch, lambda keep: bytearray(1) + keep[:-1])
+        tamper_mask(monkeypatch, shift_by_one)
         assert failed_checks(verify_pair(7, 11)) == {
             "product_matches_closed_form",
             "transversal_valid",
@@ -256,32 +318,44 @@ class TestFaultInjection:
 
     def test_k_dropped(self, monkeypatch):
         # k = 1 contributes (1, 1): the product cannot notice it is gone
-        def unmark_1(keep):
-            keep[1] = 0
-            return keep
-
-        self.tamper_mask(monkeypatch, unmark_1)
+        tamper_mask(monkeypatch, unmark_1)
         assert failed_checks(verify_pair(7, 11)) == {"transversal_valid"}
 
     def test_non_unit_k_marked(self, monkeypatch):
         # k = 7 is (0, 7): the product's first coordinate becomes 0
-        def mark_7(keep):
-            keep[7] = 1
-            return keep
-
-        self.tamper_mask(monkeypatch, mark_7)
+        tamper_mask(monkeypatch, mark_p)
         assert failed_checks(verify_pair(7, 11)) == {
             "product_matches_closed_form",
             "transversal_valid",
             "rank_sign_dichotomy",
         }
 
-    def test_k_duplicated(self, monkeypatch):
-        # a mask cannot repeat a k, but the k read by verify_transversal can;
-        # the product reads the mask, so only transversal_valid sees it
-        original = Transversal.ks
-        monkeypatch.setattr(Transversal, "ks", lambda L: iter([1, *original(L)]))
-        assert failed_checks(verify_pair(7, 11)) == {"transversal_valid"}
+    def test_k_1_swapped_for_a_multiple_of_p(self, monkeypatch):
+        # the count and length hold; only the multiples-of-p condition fails
+        tamper_mask(monkeypatch, swap_1_for_p)
+        assert failed_checks(verify_pair(7, 11)) == {
+            "product_matches_closed_form",
+            "transversal_valid",
+            "rank_sign_dichotomy",
+        }
+
+    def test_k_1_swapped_for_a_multiple_of_q(self, monkeypatch):
+        # k = 11 is (4, 0): the product's second coordinate becomes 0
+        tamper_mask(monkeypatch, swap_1_for_q)
+        assert failed_checks(verify_pair(7, 11)) == {
+            "product_matches_closed_form",
+            "transversal_valid",
+            "rank_sign_dichotomy",
+        }
+
+    def test_mask_extended_past_half(self, monkeypatch):
+        # k = 76 is (-1, -1): it negates both coordinates, so their signs
+        # still differ and only the length condition sees the upper half
+        tamper_mask(monkeypatch, extend_and_swap_1_for_pq_minus_1)
+        assert failed_checks(verify_pair(7, 11)) == {
+            "product_matches_closed_form",
+            "transversal_valid",
+        }
 
     def test_legendre_symbol_flipped(self, monkeypatch):
         def flipped(a, p):

@@ -13,6 +13,7 @@ from recipro import (
     legendre_oracle,
     odd_primes_up_to,
     primes_up_to,
+    residue_arith,
     validate_odd_prime,
     wilson_check,
 )
@@ -186,6 +187,22 @@ class TestPrimeListing:
         assert first_odd_primes(20, 1000) == odd_primes_up_to(73)
         with pytest.raises(CapacityError):
             first_odd_primes(6, 16)
+
+    def test_first_odd_primes_reach_past_the_rosser_threshold(self):
+        # counts below 5 use the fixed bound 11; from 5 on, Rosser's bound on p_(count+1)
+        primes = odd_primes_up_to(20_000)
+        for count in range(400):
+            assert first_odd_primes(count, 10**6) == primes[:count], count
+
+    def test_first_odd_primes_sieves_once(self, monkeypatch):
+        bounds = []
+        sieve = residue_arith.odd_primes_up_to
+        monkeypatch.setattr(
+            residue_arith, "odd_primes_up_to", lambda n: bounds.append(n) or sieve(n)
+        )
+        assert first_odd_primes(1000, 10**7)[-1] == 7927  # p_1001
+        assert first_odd_primes(25, 101)[-1] == 101
+        assert len(bounds) == 2 and bounds[0] < 10**4 and bounds[1] == 101
 
     def test_sieve_matches_miller_rabin(self):
         sieved = set(primes_up_to(5000))

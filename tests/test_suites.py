@@ -1,4 +1,4 @@
-from math import prod
+from math import isqrt, prod
 
 import pytest
 
@@ -81,6 +81,23 @@ class TestRunners:
         with pytest.raises(CapacityError):
             run_suite("wilson", 26, 0)
         assert checked == []
+
+    def test_wilson_case_cap_counts_the_odd_primes_below_the_factorial_cap(self):
+        # one sieve to FACTORIAL_LOOP_CAP + 1, built here rather than by the library
+        n = budget.FACTORIAL_LOOP_CAP + 1
+        sieve = bytearray([1]) * (n + 1)
+        sieve[:2] = bytes(2)
+        for i in range(2, isqrt(n) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+        assert sieve.count(1) - 1 == budget.WILSON_CASE_CAP  # less the even prime 2
+
+    def test_oversized_wilson_request_sieves_nothing(self, monkeypatch):
+        sieved = []
+        monkeypatch.setattr(suites, "first_odd_primes", lambda *args: sieved.append(args))
+        with pytest.raises(CapacityError, match="over the cap of 664578"):
+            run_suite("wilson", budget.WILSON_CASE_CAP + 1, 0)
+        assert sieved == []
 
     def test_unknown_suite(self):
         with pytest.raises(DomainError):
