@@ -23,7 +23,7 @@ import json
 import os
 import stat
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import Iterator, Sequence, TextIO
 
@@ -120,8 +120,10 @@ def render_csv(cfg: RunConfig, rows: list[SweepRow], summary: dict, timestamp: s
     lines = [f"# {key}: {value}" for key, value in cfg.meta_items()]
     lines.append(f"# generated_at: {timestamp}")
     lines.append(",".join(SWEEP_FIELDS))
+    # vars(row) lists the fields in SWEEP_FIELDS order: the dataclass
+    # __init__ sets them in declaration order
     for row in rows:
-        lines.append(",".join(_csv_value(v) for v in asdict(row).values()))
+        lines.append(",".join(_csv_value(v) for v in vars(row).values()))
     lines.append(f"# summary: {_summary_text(summary)}")
     return "\n".join(lines) + "\n"
 
@@ -129,7 +131,7 @@ def render_csv(cfg: RunConfig, rows: list[SweepRow], summary: dict, timestamp: s
 def render_json(cfg: RunConfig, rows: list[SweepRow], summary: dict, timestamp: str) -> str:
     meta = dict(cfg.meta_items())
     meta["generated_at"] = timestamp
-    doc = {"meta": meta, "rows": [asdict(row) for row in rows], "summary": summary}
+    doc = {"meta": meta, "rows": [vars(row) for row in rows], "summary": summary}
     return json.dumps(doc, indent=2) + "\n"
 
 

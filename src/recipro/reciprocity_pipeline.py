@@ -7,13 +7,17 @@ Gamma = {(1,1), (-1,-1)} has a canonical set of coset representatives:
 
 verify_pair runs the whole chain for one pair: it takes the coordinatewise
 product of those representatives (read off a keep-mask over k, counting how
-many kept k fall in each residue class, so every k is read once per modulus
-and no closed form enters), checks on that same mask that the marked k are
-one representative per coset, compares the product exactly against a closed
-form built from Legendre symbols, checks that the product sits inside Gamma
-or in the order-2 coset {(1,-1), (-1,1)} according to the 2-rank of the
-quotient, derives from that the predicted relation between (q/p) and (p/q),
-and cross-checks the reciprocity identity with directly computed symbols.
+many kept k fall in each residue class and raising the product of the
+classes that share a count to that count once, so every k is read once per
+modulus and no closed form enters), checks on that same mask that the
+marked k are one representative per coset, compares the product exactly
+against a closed form built from Legendre symbols, checks that the product
+sits inside Gamma or in the order-2 coset {(1,-1), (-1,1)} according to the
+2-rank of the quotient, derives from that the predicted relation between
+(q/p) and (p/q), and cross-checks the reciprocity identity with the same
+two symbols.  p and q are validated once, when the transversal is built;
+each symbol is one Euler-criterion power.  The public closed_form_product
+and qr_identity validate their own arguments and share the same helpers.
 All named checks are recorded; a failure never aborts the remaining checks.
 
 Pure functions throughout; sweeps over many pairs may run concurrently.
@@ -27,8 +31,8 @@ from typing import NamedTuple
 
 from . import budget
 from .errors import DomainError
-from .quotient_rank import corollary_rank_for_primes
-from .residue_arith import legendre_euler, validate_odd_prime
+from .quotient_rank import rank2_quotient_formula
+from .residue_arith import euler_symbol, validate_odd_prime
 
 RELATION_EQUAL = 1
 RELATION_OPPOSITE = -1
@@ -95,16 +99,27 @@ MIN_COUNTED_CLASS = 8
 
 
 def _product_mod(keep: bytearray, m: int) -> int:
-    """Product of the marked k, mod m."""
-    acc = 1
+    """Product of the marked k, mod m, for any 0/1 mask over k = 0, 1, ...
+
+    Counted: with c_r marked k in the class of r, the product is
+    prod_r r^(c_r) = prod_c (prod of the r with c_r = c)^c, so the residues
+    are grouped by their count and each group is raised to it once (a
+    modulus has few distinct counts).
+    """
     if len(keep) < MIN_COUNTED_CLASS * m:
+        acc = 1
         for k in compress(range(len(keep)), keep):
             acc = acc * k % m
         return acc
     # keep[r::m] is the class of k = r (mod m); r = 0 is included, so a
-    # marked multiple of m makes the product 0
+    # marked multiple of m makes its group, and the product, 0
+    by_count: dict[int, int] = {}
     for r in range(m):
-        acc = acc * pow(r, keep[r::m].count(1), m) % m
+        c = keep[r::m].count(1)
+        by_count[c] = by_count.get(c, 1) * r % m
+    acc = 1
+    for c, group in by_count.items():
+        acc = acc * pow(group, c, m) % m
     return acc
 
 
@@ -112,13 +127,20 @@ def product_over_transversal(L: Transversal) -> UnitPair:
     """Componentwise product of all entries, read off L's mask once per modulus.
 
     The coordinate mod m is the product of r^(number of marked k = r mod m)
-    over all residues r, with every class counted from the mask; when m's
-    classes would hold fewer than MIN_COUNTED_CLASS k each (a small partner
-    prime), the marked k are multiplied one by one instead.  Either way every
-    k is read and the entries are never formed.
+    over all residues r, with every class counted from the mask and the
+    residues that share a count multiplied together before one power per
+    distinct count; when m's classes would hold fewer than MIN_COUNTED_CLASS
+    k each (a small partner prime), the marked k are multiplied one by one
+    instead.  Either way every k is read and the entries are never formed.
     """
     keep = L.mask()
     return UnitPair(_product_mod(keep, L.p), _product_mod(keep, L.q))
+
+
+def _closed_form(p: int, q: int, leg_qp: int, leg_pq: int) -> UnitPair:
+    s1 = leg_qp * (-1 if (q - 1) // 2 % 2 else 1)
+    s2 = leg_pq * (-1 if (p - 1) // 2 % 2 else 1)
+    return UnitPair(1 if s1 == 1 else p - 1, 1 if s2 == 1 else q - 1)
 
 
 def closed_form_product(p: int, q: int) -> UnitPair:
@@ -127,9 +149,7 @@ def closed_form_product(p: int, q: int) -> UnitPair:
     Sign +1 maps to residue 1, sign -1 to p-1 (resp. q-1).
     """
     _validate_pair(p, q)
-    s1 = legendre_euler(q, p) * (-1 if (q - 1) // 2 % 2 else 1)
-    s2 = legendre_euler(p, q) * (-1 if (p - 1) // 2 % 2 else 1)
-    return UnitPair(1 if s1 == 1 else p - 1, 1 if s2 == 1 else q - 1)
+    return _closed_form(p, q, euler_symbol(q, p), euler_symbol(p, q))
 
 
 def verify_transversal(L: Transversal) -> bool:
@@ -172,12 +192,14 @@ def predicted_symbol_relation(p: int, q: int, rank: int) -> int:
     return RELATION_OPPOSITE
 
 
+def _qr_holds(p: int, q: int, leg_qp: int, leg_pq: int) -> bool:
+    return leg_pq * leg_qp == (-1 if ((p - 1) // 2) * ((q - 1) // 2) % 2 else 1)
+
+
 def qr_identity(p: int, q: int) -> bool:
-    """(p/q)(q/p) == (-1)^(((p-1)/2)((q-1)/2)), all three symbols computed directly."""
+    """(p/q)(q/p) == (-1)^(((p-1)/2)((q-1)/2)), both symbols computed directly."""
     _validate_pair(p, q)
-    lhs = legendre_euler(p, q) * legendre_euler(q, p)
-    rhs = -1 if ((p - 1) // 2) * ((q - 1) // 2) % 2 else 1
-    return lhs == rhs
+    return _qr_holds(p, q, euler_symbol(q, p), euler_symbol(p, q))
 
 
 @dataclass(frozen=True)
@@ -217,15 +239,19 @@ def verify_pair(p: int, q: int) -> PairVerdict:
     * ``qr_identity`` -- the reciprocity identity for the pair.
 
     A failed check marks the verdict failed without aborting the rest.
+    p and q are validated once, by build_transversal; the two Legendre
+    symbols are computed once each and feed the closed form, the relation
+    and the reciprocity identity, and the rank is the closed form applied
+    to (p - 1, q - 1).
     """
     L = build_transversal(p, q)
     product = product_over_transversal(L)
-    closed = closed_form_product(p, q)
-    rank = corollary_rank_for_primes(p, q)
-    leg_qp = legendre_euler(q, p)
-    leg_pq = legendre_euler(p, q)
+    leg_qp = euler_symbol(q, p)
+    leg_pq = euler_symbol(p, q)
+    closed = _closed_form(p, q, leg_qp, leg_pq)
+    rank = rank2_quotient_formula((p - 1, q - 1))
     predicted = predicted_symbol_relation(p, q, rank)
-    qr_holds = qr_identity(p, q)
+    qr_holds = _qr_holds(p, q, leg_qp, leg_pq)
 
     checks: dict[str, bool] = {}
     checks["product_matches_closed_form"] = product == closed

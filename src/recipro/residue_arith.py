@@ -83,7 +83,15 @@ def legendre_euler(a: int, p: int) -> int:
     Returns +1 or -1; a must be coprime to p.
     """
     p = validate_odd_prime(p)
-    a = _unit_mod(a, p)
+    return euler_symbol(_unit_mod(a, p), p)
+
+
+def euler_symbol(a: int, p: int) -> int:
+    """(a/p) as +1 / -1 from one a^((p-1)/2) mod p, with nothing re-checked.
+
+    For callers that already hold a validated odd prime p and an int a
+    coprime to it; :func:`legendre_euler` is the checked entry point.
+    """
     r = pow(a, (p - 1) // 2, p)
     if r == 1:
         return 1

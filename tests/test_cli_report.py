@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -150,6 +151,21 @@ class TestSweepCommand:
             ]
             assert got == expected
 
+    def test_bodies_match_pinned_digests(self, capsys):
+        # SHA-256 of known-good report bodies; a change to any reported
+        # value, or to how it is rendered, changes a digest
+        assert main(["sweep", "--max", "200"]) == 0
+        body = "\n".join(csv_body(capsys.readouterr().out)) + "\n"
+        assert hashlib.sha256(body.encode()).hexdigest() == (
+            "21bb85f5e32d574cb137d62891a93be8ad3e25ca2bea78c0f755258fee0bfc65"
+        )
+        assert main(["sweep", "--max", "50", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        body = json.dumps({"rows": doc["rows"], "summary": doc["summary"]}, sort_keys=True)
+        assert hashlib.sha256(body.encode()).hexdigest() == (
+            "4d83901a14558b8a789be2c598787def0c1b3d7d8277d966e8f42bc33102f39b"
+        )
+
     def test_seed_recorded_in_header(self):
         result = run_cli("sweep", "--max", "10", "--seed", "77")
         assert "# seed: 77" in result.stdout
@@ -300,3 +316,5 @@ class TestSweepRowShape:
         assert (row.closed_p, row.closed_q) == (2, 1)
         assert row.relation == "equal"
         assert row.qr_holds and row.all_pass
+        # the renderers read the fields through vars(row), in this order
+        assert tuple(vars(row)) == SWEEP_FIELDS

@@ -9,6 +9,7 @@ from recipro import (
     UnitPair,
     build_transversal,
     closed_form_product,
+    corollary_rank_for_primes,
     legendre_euler,
     odd_primes_up_to,
     product_over_transversal,
@@ -16,6 +17,8 @@ from recipro import (
     verify_pair,
     verify_transversal,
 )
+from recipro import reciprocity_pipeline, residue_arith
+from recipro.reciprocity_pipeline import MIN_COUNTED_CLASS, _product_mod
 from _oracles import crt_transversal_ok, streamed_product
 
 SMALL_PAIRS = [
@@ -157,6 +160,27 @@ class TestProduct:
 
         monkeypatch.setattr(Transversal, "mask", marked)
         assert product_over_transversal(build_transversal(p, q)) == UnitPair(0, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_grouped_product_on_any_mask(self, data):
+        # grouping by count must hold for any 0/1 mask, not just a transversal's
+        m = data.draw(st.sampled_from([3, 5, 7, 11, 13]), label="m")
+        counted = data.draw(st.booleans(), label="counted")
+        threshold = MIN_COUNTED_CLASS * m
+        n = data.draw(
+            st.integers(threshold, 3 * threshold) if counted else st.integers(0, threshold - 1),
+            label="len",
+        )
+        keep = bytearray(data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
+        expected = 1
+        for k in range(n):
+            if keep[k]:
+                expected = expected * k % m
+        got = _product_mod(keep, m)
+        assert got == expected
+        if any(keep[::m]):
+            assert got == 0
 
 
 class TestClosedForm:
@@ -362,7 +386,7 @@ class TestFaultInjection:
             symbol = legendre_euler(a, p)
             return -symbol if (a, p) == (11, 7) else symbol
 
-        monkeypatch.setattr("recipro.reciprocity_pipeline.legendre_euler", flipped)
+        monkeypatch.setattr(reciprocity_pipeline, "euler_symbol", flipped)
         assert failed_checks(verify_pair(7, 11)) == {
             "product_matches_closed_form",
             "relation_matches_symbols",
@@ -371,13 +395,34 @@ class TestFaultInjection:
 
     def test_wrong_rank(self, monkeypatch):
         # 7 = 11 = 3 (mod 4): the true rank is 1
-        monkeypatch.setattr(
-            "recipro.reciprocity_pipeline.corollary_rank_for_primes", lambda p, q: 2
-        )
+        monkeypatch.setattr(reciprocity_pipeline, "rank2_quotient_formula", lambda orders: 2)
         assert failed_checks(verify_pair(7, 11)) == {
             "rank_sign_dichotomy",
             "relation_matches_symbols",
         }
+
+
+class TestValidateOnce:
+    def test_verify_pair_tests_primality_twice(self, monkeypatch):
+        calls = []
+        original = residue_arith.is_prime
+
+        def counted(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(residue_arith, "is_prime", counted)
+        assert verify_pair(7, 11).all_pass
+        assert sorted(calls) == [7, 11]
+
+    @pytest.mark.parametrize(
+        "fn", [closed_form_product, qr_identity, corollary_rank_for_primes],
+        ids=lambda fn: fn.__name__,
+    )
+    @pytest.mark.parametrize("p,q", [(5, 5), (9, 7)])
+    def test_public_functions_still_validate(self, fn, p, q):
+        with pytest.raises(DomainError):
+            fn(p, q)
 
 
 class TestQrIdentity:
