@@ -27,7 +27,6 @@ from .errors import (
     ReciproError,
 )
 from .quotient_rank import (
-    corollary_rank_for_primes,
     rank2_quotient_enumerated,
     rank2_quotient_formula,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "add",
     "build_transversal",
     "closed_form_product",
-    "corollary_rank_for_primes",
     "element_order",
     "euler_criterion_check",
     "factorial_mod",

@@ -3,7 +3,9 @@
 A group is described by its factor orders (n_1, ..., n_k); an element carries
 one reduced residue per factor.  Enumeration order is lexicographic on the
 coordinate tuples (the rightmost coordinate varies fastest), and every
-operation that walks the whole group is capacity-checked first.
+operation that walks the whole group is capacity-checked first.  The walks
+in two_torsion_subgroup and sum_all_elements visit every element, but run
+through itertools and builtins, with no Python bytecode per element.
 
 Values are immutable after construction and all operations are pure
 functions, so everything here may be used concurrently without locking.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, prod
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from . import budget
@@ -105,14 +108,15 @@ def element_order(g: GroupElement) -> int:
 def two_torsion_subgroup(G: AbelianGroup) -> list[GroupElement]:
     """All g with 2g = 0, in lexicographic order, by full enumeration.
 
-    The result has 2**rank elements where rank counts the even factors.
+    Each factor's flags 2c = 0 are tabulated once; their product runs in step
+    with the walk over G, so one flag tuple is tested per element.  The
+    result has 2**rank elements where rank counts the even factors.
     """
     orders = G.factor_orders
-    out = []
-    for coords in G.iter_coords():
-        if all(2 * c % n == 0 for c, n in zip(coords, orders)):
-            out.append(GroupElement(G, coords))
-    return out
+    flags = [[2 * c % n == 0 for c in range(n)] for n in orders]
+    want = (True,) * len(orders)
+    kept = itertools.compress(G.iter_coords(), map(want.__eq__, itertools.product(*flags)))
+    return [GroupElement(G, coords) for coords in kept]
 
 
 def rank2(G: AbelianGroup) -> Rank2Result:
@@ -128,12 +132,12 @@ def rank2(G: AbelianGroup) -> Rank2Result:
 def sum_all_elements(G: AbelianGroup) -> GroupElement:
     """The sum of every element of G, by honest full enumeration.
 
-    The result is the identity unless the 2-rank is exactly 1, in which case
-    it is the unique element of order 2.
+    Coordinate i is the sum of coordinate i over one full walk of G, so the
+    group is walked once per factor and never held in memory.  The result is
+    the identity unless the 2-rank is exactly 1, in which case it is the
+    unique element of order 2.
     """
-    orders = G.factor_orders
-    totals = [0] * len(orders)
-    for coords in G.iter_coords():
-        for i, c in enumerate(coords):
-            totals[i] += c
-    return GroupElement(G, tuple(t % n for t, n in zip(totals, orders)))
+    return GroupElement(G, tuple(
+        sum(map(itemgetter(i), G.iter_coords())) % n
+        for i, n in enumerate(G.factor_orders)
+    ))

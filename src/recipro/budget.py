@@ -14,6 +14,7 @@ QUOTIENT_ENUM_CAP = 1 << 18      # two-torsion counting modulo the diagonal subg
 STREAM_PRODUCT_CAP = 1 << 21     # transversal product, one pass over 0 < k < pq/2
 FACTORIAL_LOOP_CAP = 10_000_000  # factorial-style running products
 WILSON_CASE_CAP = 664_578        # wilson suite: the odd primes <= FACTORIAL_LOOP_CAP + 1
+SUITE_CASE_CAP = 100_000         # lemma1, lemma2 and euler suites: cases per run
 SQUARE_ORACLE_CAP = 100_000      # square-enumeration oracle, bound on the modulus
 
 

@@ -7,7 +7,8 @@ is computed by two independent routes:
 * a closed-form case split: k when 4 divides every n_i, else k - 1;
 * brute force, counting the g in G with 2g in Gamma.  Each two-torsion
   class of the quotient contributes exactly |Gamma| = 2 solutions, so the
-  count is twice a power of two and its half gives the rank.
+  count is twice a power of two and its half gives the rank.  Every element
+  of G is tallied, through itertools rather than a Python loop.
 
 The quotient itself is never materialized; counting is all that is needed.
 Pure functions over immutable inputs, safe for concurrent use.
@@ -15,12 +16,13 @@ Pure functions over immutable inputs, safe for concurrent use.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import product
 from typing import Sequence
 
 from . import budget
 from .abelian_core import AbelianGroup
 from .errors import DomainError, InternalCheckError
-from .residue_arith import validate_odd_prime
 
 
 def _even_orders(orders: Sequence[int]) -> tuple[int, ...]:
@@ -40,35 +42,32 @@ def rank2_quotient_formula(orders: Sequence[int]) -> int:
     return k if all(n % 4 == 0 for n in orders) else k - 1
 
 
+def _doubling_codes(n: int) -> list[int]:
+    """code[c] for c in Z/n: 0 when 2c = 0, 1 when 2c = n/2, 2 otherwise."""
+    half = n // 2
+    return [0 if d == 0 else 1 if d == half else 2 for d in (2 * c % n for c in range(n))]
+
+
 def rank2_quotient_enumerated(orders: Sequence[int]) -> int:
     """Quotient 2-rank by counting the g in G with 2g in Gamma.
 
-    The count must be 2 * 2**rank; any other value signals a bug in this
-    package rather than bad input, hence InternalCheckError.
+    Each factor's doubling codes are tabulated once, and their product yields
+    one code tuple per element of G, in enumeration order; a Counter tallies
+    them all.  2g = 0 exactly when every code is 0, and 2g is the nonzero
+    element of Gamma exactly when every code is 1.  The tally must cover |G|
+    elements and the count must be 2 * 2**rank; anything else signals a bug
+    in this package rather than bad input, hence InternalCheckError.
     """
     orders = _even_orders(orders)
     G = AbelianGroup(orders)
     budget.require_within(G.order, budget.QUOTIENT_ENUM_CAP, "quotient two-torsion count")
-    target = tuple(n // 2 for n in orders)
-    count = 0
-    for coords in G.iter_coords():
-        doubled = tuple(2 * c % n for c, n in zip(coords, orders))
-        if not any(doubled) or doubled == target:
-            count += 1
+    tally = Counter(product(*map(_doubling_codes, orders)))
+    visited = sum(tally.values())
+    if visited != G.order:
+        raise InternalCheckError(f"tallied {visited} elements of a group of order {G.order}")
+    k = len(orders)
+    count = tally[(0,) * k] + tally[(1,) * k]
     half, rem = divmod(count, 2)
     if rem or half < 1 or half & (half - 1):
         raise InternalCheckError(f"solution count {count} is not twice a power of 2")
     return half.bit_length() - 1
-
-
-def corollary_rank_for_primes(p: int, q: int) -> int:
-    """Quotient 2-rank for the units product of two distinct odd primes.
-
-    Applies the closed form to [p-1, q-1]: 2 when p = q = 1 (mod 4), else 1.
-    """
-    p = validate_odd_prime(p)
-    q = validate_odd_prime(q)
-    if p == q:
-        raise DomainError("primes must be distinct")
-    return rank2_quotient_formula((p - 1, q - 1))
-

@@ -138,25 +138,28 @@ def wilson_check(p: int) -> bool:
     return factorial_mod(p - 1, p) == p - 1
 
 
+def _product_of_multiples(qu: int, half: int, p: int) -> int:
+    """(qu)(2 qu)...(half * qu) mod p, multiplying each multiple itself."""
+    left = 1
+    for t in range(qu, half * qu + 1, qu):
+        left = left * t % p
+    return left
+
+
 def euler_criterion_check(q: int, p: int) -> bool:
     """Check (q)(2q)...((p-1)/2 * q) = (q/p) * ((p-1)/2)!  (mod p).
 
-    Both sides are computed independently: the left by accumulating the
-    multiples of q directly, the right from legendre_euler and factorial_mod.
+    Both sides are computed independently: the left by multiplying the
+    multiples of q one by one, the right from one Euler-criterion power
+    (euler_symbol) and factorial_mod.  p is tested for primality once.
     """
     p = validate_odd_prime(p)
     qu = _unit_mod(q, p)
     half = (p - 1) // 2
     budget.require_within(half, budget.FACTORIAL_LOOP_CAP, "multiple product")
-    left = 1
-    term = 0
-    for _ in range(half):
-        term += qu
-        if term >= p:
-            term -= p
-        left = left * term % p
+    left = _product_of_multiples(qu, half, p)
     fact = factorial_mod(half, p)
-    right = fact if legendre_euler(qu, p) == 1 else (p - fact) % p
+    right = fact if euler_symbol(qu, p) == 1 else (p - fact) % p
     return left == right
 
 

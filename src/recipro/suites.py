@@ -2,7 +2,9 @@
 
 All randomness comes from ``random.Random(seed)``, i.e. the Mersenne Twister
 (MT19937) as shipped with CPython.  Every generator documents its exact draw
-sequence, so a case list is reproducible from the seed alone.
+sequence, so a case list is reproducible from the seed alone.  The lemma1,
+lemma2 and euler runners refuse more than budget.SUITE_CASE_CAP cases with
+CapacityError before any case is drawn.
 """
 
 from __future__ import annotations
@@ -155,6 +157,7 @@ def run_sum_elements_suite(n_cases: int, seed: int) -> SuiteResult:
     """Suite ``lemma1``: on random groups the sum of all elements is the
     identity exactly when the 2-rank differs from 1, and otherwise is the
     unique element of order 2."""
+    budget.require_within(n_cases, budget.SUITE_CASE_CAP, "lemma1 suite")
     outcomes = []
     for orders in random_factor_lists(n_cases, seed):
         G = AbelianGroup(orders)
@@ -179,6 +182,7 @@ def run_quotient_rank_suite(n_cases: int, seed: int) -> SuiteResult:
     The first two cases are always the forced lists (4, 4) and (2, 4); the
     remaining n_cases - 2 are drawn by random_even_factor_lists.
     """
+    budget.require_within(n_cases, budget.SUITE_CASE_CAP, "lemma2 suite")
     cases = list(FORCED_EVEN_CASES[:n_cases])
     if n_cases > len(FORCED_EVEN_CASES):
         cases += random_even_factor_lists(n_cases - len(FORCED_EVEN_CASES), seed)
@@ -192,6 +196,7 @@ def run_quotient_rank_suite(n_cases: int, seed: int) -> SuiteResult:
 
 def run_euler_suite(n_cases: int, seed: int) -> SuiteResult:
     """Suite ``euler``: the multiple-product identity on random (q, p)."""
+    budget.require_within(n_cases, budget.SUITE_CASE_CAP, "euler suite")
     outcomes = [
         (euler_criterion_check(qv, p), f"q={qv} p={p}")
         for qv, p in random_euler_cases(n_cases, seed)

@@ -36,6 +36,48 @@ def sum_coords_formula(orders):
     return tuple((total // n) * (n * (n - 1) // 2) % n for n in orders)
 
 
+def sum_by_element_loop(orders):
+    """Sum of all elements of Z/n_1 x ... x Z/n_k, one Python step per element."""
+    totals = [0] * len(orders)
+    for coords in itertools.product(*(range(n) for n in orders)):
+        for i, c in enumerate(coords):
+            totals[i] += c
+    return tuple(t % n for t, n in zip(totals, orders))
+
+
+def torsion_by_element_loop(orders):
+    """Coordinate tuples g with 2g = 0, by testing every element in turn."""
+    return [
+        coords
+        for coords in itertools.product(*(range(n) for n in orders))
+        if all(2 * c % n == 0 for c, n in zip(coords, orders))
+    ]
+
+
+def quotient_count_by_element_loop(orders):
+    """Number of g with 2g in {0, (n_1/2, ..., n_k/2)}, one element at a time."""
+    target = tuple(n // 2 for n in orders)
+    count = 0
+    for coords in itertools.product(*(range(n) for n in orders)):
+        doubled = tuple(2 * c % n for c, n in zip(coords, orders))
+        if not any(doubled) or doubled == target:
+            count += 1
+    return count
+
+
+def multiples_by_running_term(q, p):
+    """(q)(2q)...((p-1)/2 * q) mod p, stepping the multiple by q and reducing it."""
+    step = q % p
+    left = 1
+    term = 0
+    for _ in range((p - 1) // 2):
+        term += step
+        if term >= p:
+            term -= p
+        left = left * term % p
+    return left
+
+
 def order_by_repeated_addition(coords, orders):
     acc = tuple(coords)
     m = 1

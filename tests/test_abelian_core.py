@@ -13,7 +13,13 @@ from recipro import (
     sum_all_elements,
     two_torsion_subgroup,
 )
-from _oracles import order_by_repeated_addition, sum_coords_formula, torsion_by_factors
+from _oracles import (
+    order_by_repeated_addition,
+    sum_by_element_loop,
+    sum_coords_formula,
+    torsion_by_element_loop,
+    torsion_by_factors,
+)
 
 # small factor lists, guaranteed enumerable (product <= 1000)
 factor_lists = st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=3)
@@ -122,6 +128,12 @@ class TestTwoTorsion:
         with pytest.raises(CapacityError):
             two_torsion_subgroup(AbelianGroup((2,) * 23))
 
+    @given(st.lists(st.integers(min_value=1, max_value=16), min_size=0, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_element_loop(self, orders):
+        got = coords_of(two_torsion_subgroup(AbelianGroup(orders)))
+        assert got == torsion_by_element_loop(orders)
+
 
 class TestRank2:
     @pytest.mark.parametrize(
@@ -147,6 +159,15 @@ class TestSumAllElements:
     )
     def test_examples(self, orders, expected):
         assert sum_all_elements(AbelianGroup(orders)).coords == expected
+
+    @given(st.lists(st.integers(min_value=1, max_value=16), min_size=0, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_element_loop(self, orders):
+        assert sum_all_elements(AbelianGroup(orders)).coords == sum_by_element_loop(orders)
+
+    def test_capacity_error(self):
+        with pytest.raises(CapacityError):
+            sum_all_elements(AbelianGroup((2,) * 23))
 
     @given(factor_lists)
     def test_matches_coordinate_formula(self, orders):

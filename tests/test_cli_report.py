@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from recipro import DomainError, UnitPair, budget
+from recipro import DomainError, UnitPair, budget, suites
 from recipro.cli_report import SWEEP_FIELDS, SweepRow, main
 from recipro.reciprocity_pipeline import PairVerdict
 
@@ -279,6 +279,25 @@ class TestLemmaSuiteCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: wilson suite needs 700000 steps, over the cap of 664578\n"
+
+    @pytest.mark.parametrize(
+        "which,generator",
+        [("lemma1", "random_factor_lists"), ("lemma2", "random_even_factor_lists"),
+         ("euler", "random_euler_cases")],
+    )
+    def test_over_suite_case_cap_exits_2_with_one_line(self, which, generator, monkeypatch,
+                                                       capsys):
+        def drawn(*args, **kwargs):
+            raise AssertionError(f"{generator} ran for an over-cap request")
+
+        monkeypatch.setattr(suites, generator, drawn)
+        n = budget.SUITE_CASE_CAP + 1
+        assert main(["lemma-suite", "--which", which, "--n", str(n)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: {which} suite needs {n} steps, over the cap of {budget.SUITE_CASE_CAP}\n"
+        )
 
     def test_unknown_suite_exits_2(self):
         result = run_cli("lemma-suite", "--which", "lemma9", "--n", "5")

@@ -6,13 +6,15 @@ from recipro import (
     AbelianGroup,
     CapacityError,
     DomainError,
-    corollary_rank_for_primes,
+    InternalCheckError,
     element_order,
+    quotient_rank,
     rank2_quotient_enumerated,
     rank2_quotient_formula,
+    verify_pair,
 )
 from recipro.suites import random_even_factor_lists
-from _oracles import quotient_rank_by_cosets
+from _oracles import quotient_count_by_element_loop, quotient_rank_by_cosets
 
 even_lists = st.lists(st.sampled_from([2, 4, 6, 8]), min_size=1, max_size=3)
 
@@ -66,6 +68,19 @@ class TestEnumerated:
         k = len(orders)
         assert k - 1 <= rank2_quotient_enumerated(orders) <= k
 
+    @given(st.lists(st.sampled_from([2, 4, 6, 8, 10, 12]), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_element_loop(self, orders):
+        count = quotient_count_by_element_loop(orders)
+        assert count == 2 << rank2_quotient_enumerated(orders)
+
+    def test_codes(self):
+        # 2c mod 8 = 0, 2, 4, 6, 0, 2, 4, 6: zero at c = 0, 4 and n/2 = 4 at c = 2, 6
+        assert quotient_rank._doubling_codes(8) == [0, 2, 1, 2, 0, 2, 1, 2]
+        # in Z/2 every 2c is 0, so n/2 = 1 is never hit; in Z/6, 2c is never 3
+        assert quotient_rank._doubling_codes(2) == [0, 0]
+        assert quotient_rank._doubling_codes(6) == [0, 2, 2, 0, 2, 2]
+
     def test_seeded_generator_agreement(self):
         for orders in random_even_factor_lists(40, seed=20260810):
             assert rank2_quotient_enumerated(orders) == rank2_quotient_formula(orders)
@@ -84,19 +99,53 @@ class TestOrderFourCensus:
         assert sum(1 for e in G.elements() if element_order(e) == 4) == 0
 
 
+class TestTallyFaults:
+    """A code table that loses, gains or mislabels an element must not pass."""
+
+    @pytest.fixture
+    def codes(self, monkeypatch):
+        original = quotient_rank._doubling_codes
+
+        def install(fault):
+            monkeypatch.setattr(quotient_rank, "_doubling_codes", lambda n: fault(original(n)))
+
+        return install
+
+    def test_truncated_table(self, codes):
+        codes(lambda table: table[:-1])
+        with pytest.raises(InternalCheckError, match="tallied 9 elements of a group of order 16"):
+            rank2_quotient_enumerated((4, 4))
+
+    def test_extended_table(self, codes):
+        codes(lambda table: table + [0])
+        with pytest.raises(InternalCheckError, match="tallied 25 elements"):
+            rank2_quotient_enumerated((4, 4))
+
+    def test_corrupted_code(self, codes):
+        # Z/6 has codes [0, 2, 2, 0, 2, 2]: relabelling c = 1 as 2c = 0 makes 3 solutions
+        codes(lambda table: table[:1] + [0] + table[2:])
+        with pytest.raises(InternalCheckError, match="solution count 3"):
+            rank2_quotient_enumerated((6,))
+
+
 class TestCorollary:
+    """The prime-pair rank verify_pair reports: 2 when p = q = 1 (mod 4), else 1.
+
+    It is the closed form on (p - 1, q - 1), recounted here by enumeration.
+    """
+
     @pytest.mark.parametrize("p,q,expected", [(5, 13, 2), (3, 5, 1), (7, 11, 1)])
     def test_examples(self, p, q, expected):
-        assert corollary_rank_for_primes(p, q) == expected
+        assert verify_pair(p, q).rank == expected
+        assert rank2_quotient_enumerated((p - 1, q - 1)) == expected
 
     def test_symmetry(self):
         primes = [3, 5, 7, 11, 13, 17, 19, 23]
         for i, p in enumerate(primes):
             for q in primes[i + 1 :]:
-                assert corollary_rank_for_primes(p, q) == corollary_rank_for_primes(q, p)
+                assert verify_pair(p, q).rank == verify_pair(q, p).rank
 
     @pytest.mark.parametrize("p,q", [(9, 5), (5, 5), (2, 5), (5, 2)])
     def test_domain_errors(self, p, q):
         with pytest.raises(DomainError):
-            corollary_rank_for_primes(p, q)
-
+            verify_pair(p, q)

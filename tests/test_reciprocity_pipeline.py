@@ -9,7 +9,6 @@ from recipro import (
     UnitPair,
     build_transversal,
     closed_form_product,
-    corollary_rank_for_primes,
     legendre_euler,
     odd_primes_up_to,
     product_over_transversal,
@@ -416,7 +415,7 @@ class TestValidateOnce:
         assert sorted(calls) == [7, 11]
 
     @pytest.mark.parametrize(
-        "fn", [closed_form_product, qr_identity, corollary_rank_for_primes],
+        "fn", [closed_form_product, qr_identity],
         ids=lambda fn: fn.__name__,
     )
     @pytest.mark.parametrize("p,q", [(5, 5), (9, 7)])

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recipro import (
     CapacityError,
@@ -17,7 +19,7 @@ from recipro import (
     validate_odd_prime,
     wilson_check,
 )
-from _oracles import trial_division_is_prime
+from _oracles import multiples_by_running_term, trial_division_is_prime
 
 
 class TestIsPrime:
@@ -165,6 +167,23 @@ class TestEulerCriterionCheck:
             if q % p == 0:
                 q += 1
             assert euler_criterion_check(q, p)
+
+    @given(st.sampled_from(odd_primes_up_to(2000)), st.integers(1, 10**6))
+    @settings(max_examples=100)
+    def test_multiples_match_running_term(self, p, q):
+        if q % p == 0:
+            q += 1
+        half = (p - 1) // 2
+        assert residue_arith._product_of_multiples(q % p, half, p) == (
+            multiples_by_running_term(q, p)
+        )
+
+    def test_tests_primality_once(self, monkeypatch):
+        calls = []
+        original = residue_arith.is_prime
+        monkeypatch.setattr(residue_arith, "is_prime", lambda n: calls.append(n) or original(n))
+        assert euler_criterion_check(10, 13)
+        assert calls == [13]
 
     def test_capacity(self):
         # 20000003 is prime and (p-1)/2 = 10000001 is one over the loop cap

@@ -99,6 +99,25 @@ class TestRunners:
             run_suite("wilson", budget.WILSON_CASE_CAP + 1, 0)
         assert sieved == []
 
+    @pytest.mark.parametrize(
+        "which,generator",
+        [("lemma1", "random_factor_lists"), ("lemma2", "random_even_factor_lists"),
+         ("euler", "random_euler_cases")],
+    )
+    def test_oversized_request_draws_nothing(self, which, generator, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(suites, generator, lambda *args, **kwargs: drawn.append(args) or [])
+        with pytest.raises(CapacityError, match=f"{which} suite needs 100001 steps"):
+            run_suite(which, budget.SUITE_CASE_CAP + 1, 0)
+        assert drawn == []
+        # at the cap the request is admitted and reaches the (stubbed) generator
+        run_suite(which, budget.SUITE_CASE_CAP, 0)
+        assert len(drawn) == 1
+
+    def test_suite_case_cap_leaves_headroom(self):
+        # the largest n any test, README example or benchmark workload asks for is 10,000
+        assert budget.SUITE_CASE_CAP >= 10 * 10_000
+
     def test_unknown_suite(self):
         with pytest.raises(DomainError):
             run_suite("lemma9", 5, 0)
