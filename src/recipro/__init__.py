@@ -13,7 +13,6 @@ from .abelian_core import (
     AbelianGroup,
     GroupElement,
     Rank2Result,
-    add,
     element_order,
     rank2,
     sum_all_elements,
@@ -22,7 +21,6 @@ from .abelian_core import (
 from .errors import (
     CapacityError,
     DomainError,
-    GroupMismatchError,
     InternalCheckError,
     ReciproError,
 )
@@ -40,7 +38,6 @@ from .reciprocity_pipeline import (
     closed_form_product,
     predicted_symbol_relation,
     product_over_transversal,
-    qr_identity,
     verify_pair,
     verify_transversal,
 )
@@ -62,7 +59,6 @@ __all__ = [
     "CapacityError",
     "DomainError",
     "GroupElement",
-    "GroupMismatchError",
     "InternalCheckError",
     "PairVerdict",
     "RELATION_EQUAL",
@@ -71,7 +67,6 @@ __all__ = [
     "ReciproError",
     "Transversal",
     "UnitPair",
-    "add",
     "build_transversal",
     "closed_form_product",
     "element_order",
@@ -85,7 +80,6 @@ __all__ = [
     "predicted_symbol_relation",
     "primes_up_to",
     "product_over_transversal",
-    "qr_identity",
     "rank2",
     "rank2_quotient_enumerated",
     "rank2_quotient_formula",

@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from . import budget
-from .errors import DomainError, GroupMismatchError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,6 @@ class AbelianGroup:
         budget.require_within(self.order, budget.GROUP_ENUM_CAP, "group enumeration")
         return itertools.product(*(range(n) for n in self.factor_orders))
 
-    def elements(self) -> Iterator[GroupElement]:
-        for coords in self.iter_coords():
-            yield GroupElement(self, coords)
-
-    def __str__(self) -> str:
-        return " x ".join(f"Z/{n}" for n in self.factor_orders) or "trivial"
-
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -78,26 +71,10 @@ class GroupElement:
                 raise DomainError(f"coordinate {c!r} is not reduced modulo {n}")
         object.__setattr__(self, "coords", coords)
 
-    def __add__(self, other: GroupElement) -> GroupElement:
-        return add(self, other)
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
-
 
 class Rank2Result(NamedTuple):
     rank: int
     two_torsion_size: int
-
-
-def add(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Componentwise sum modulo the factor orders."""
-    if a.group != b.group:
-        raise GroupMismatchError("elements belong to different groups")
-    orders = a.group.factor_orders
-    return GroupElement(
-        a.group, tuple((x + y) % n for x, y, n in zip(a.coords, b.coords, orders))
-    )
 
 
 def element_order(g: GroupElement) -> int:

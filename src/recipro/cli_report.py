@@ -8,10 +8,11 @@ Exit codes: 0 all checks passed; 1 at least one verification failed;
 empty --out) or an I/O error on the report file.  Every cap is a fixed
 constant of :mod:`recipro.budget`, so the output depends only on argv.
 
-Reports are deterministic byte for byte given the same configuration and
-seed.  The only timestamp lives in the metadata: '#'-prefixed comment lines
-in CSV, the "meta" object in JSON.  The report body (CSV header plus data
-rows; JSON "rows" and "summary") never varies between identical runs.
+Reports are deterministic byte for byte given the same arguments.  The
+metadata, built from the parsed arguments, holds the only timestamp:
+'#'-prefixed comment lines in CSV, the "meta" object in JSON.  The report
+body (CSV header plus data rows; JSON "rows" and "summary") never varies
+between identical runs.  Each row is a dict keyed in SWEEP_FIELDS order.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import json
 import os
 import stat
 import sys
-from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import Iterator, Sequence, TextIO
 
@@ -32,75 +32,24 @@ from .errors import CapacityError, DomainError
 from .reciprocity_pipeline import RELATION_EQUAL, PairVerdict, verify_pair
 from .residue_arith import legendre_euler, odd_primes_up_to
 from . import budget
-from .suites import SuiteResult, run_suite
+from .suites import SUITE_NAMES, SuiteResult, run_suite
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One verified pair, flattened for serialization."""
-
-    p: int
-    q: int
-    p_mod4: int
-    q_mod4: int
-    rank: int
-    prodL_p: int
-    prodL_q: int
-    closed_p: int
-    closed_q: int
-    leg_qp: int
-    leg_pq: int
-    relation: str
-    qr_holds: bool
-    all_pass: bool
-
-    @classmethod
-    def from_verdict(cls, v: PairVerdict) -> SweepRow:
-        return cls(
-            p=v.p,
-            q=v.q,
-            p_mod4=v.p % 4,
-            q_mod4=v.q % 4,
-            rank=v.rank,
-            prodL_p=v.product_L.a,
-            prodL_q=v.product_L.b,
-            closed_p=v.closed_form.a,
-            closed_q=v.closed_form.b,
-            leg_qp=v.legendre_qp,
-            leg_pq=v.legendre_pq,
-            relation="equal" if v.predicted_relation == RELATION_EQUAL else "opposite",
-            qr_holds=v.qr_identity_holds,
-            all_pass=v.all_pass,
-        )
+SWEEP_FIELDS = (
+    "p", "q", "p_mod4", "q_mod4", "rank", "prodL_p", "prodL_q", "closed_p", "closed_q",
+    "leg_qp", "leg_pq", "relation", "qr_holds", "all_pass",
+)
 
 
-SWEEP_FIELDS = tuple(f.name for f in fields(SweepRow))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a run needs; identical configs produce identical bodies."""
-
-    command: str
-    seed: int = 0
-    fmt: str = "csv"
-    out: str | None = None
-    p: int | None = None
-    q: int | None = None
-    max: int | None = None
-
-    def meta_items(self) -> list[tuple[str, object]]:
-        items: list[tuple[str, object]] = [
-            ("version", __version__),
-            ("command", self.command),
-            ("seed", self.seed),
-        ]
-        for name in ("p", "q", "max"):
-            value = getattr(self, name)
-            if value is not None:
-                items.append((name, value))
-        items.append(("format", self.fmt))
-        return items
+def _sweep_row(v: PairVerdict) -> dict:
+    """One verified pair, flattened for serialization, keyed in SWEEP_FIELDS order."""
+    return dict(zip(SWEEP_FIELDS, (
+        v.p, v.q, v.p % 4, v.q % 4, v.rank,
+        v.product_L.a, v.product_L.b, v.closed_form.a, v.closed_form.b,
+        v.legendre_qp, v.legendre_pq,
+        "equal" if v.predicted_relation == RELATION_EQUAL else "opposite",
+        v.qr_identity_holds, v.all_pass,
+    )))
 
 
 def _csv_value(value: object) -> str:
@@ -116,22 +65,21 @@ def _summary_text(summary: dict) -> str:
     return text
 
 
-def render_csv(cfg: RunConfig, rows: list[SweepRow], summary: dict, timestamp: str) -> str:
-    lines = [f"# {key}: {value}" for key, value in cfg.meta_items()]
+Meta = list[tuple[str, object]]
+
+
+def render_csv(meta: Meta, rows: list[dict], summary: dict, timestamp: str) -> str:
+    lines = [f"# {key}: {value}" for key, value in meta]
     lines.append(f"# generated_at: {timestamp}")
     lines.append(",".join(SWEEP_FIELDS))
-    # vars(row) lists the fields in SWEEP_FIELDS order: the dataclass
-    # __init__ sets them in declaration order
     for row in rows:
-        lines.append(",".join(_csv_value(v) for v in vars(row).values()))
+        lines.append(",".join(_csv_value(v) for v in row.values()))
     lines.append(f"# summary: {_summary_text(summary)}")
     return "\n".join(lines) + "\n"
 
 
-def render_json(cfg: RunConfig, rows: list[SweepRow], summary: dict, timestamp: str) -> str:
-    meta = dict(cfg.meta_items())
-    meta["generated_at"] = timestamp
-    doc = {"meta": meta, "rows": [vars(row) for row in rows], "summary": summary}
+def render_json(meta: Meta, rows: list[dict], summary: dict, timestamp: str) -> str:
+    doc = {"meta": dict(meta, generated_at=timestamp), "rows": rows, "summary": summary}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -181,21 +129,28 @@ def _report_stream(out: str | None) -> Iterator[TextIO]:
         raise
 
 
-def _verify_and_report(cfg: RunConfig, pairs: list[tuple[int, int]]) -> int:
-    """Verify every pair and write the report; the exit code is 1 on any failure."""
-    with _report_stream(cfg.out) as handle:
-        rows = [SweepRow.from_verdict(verify_pair(p, q)) for p, q in pairs]
+def _verify_and_report(args: argparse.Namespace, bounds: Meta,
+                       pairs: list[tuple[int, int]]) -> int:
+    """Verify every pair and write the report; the exit code is 1 on any failure.
+
+    The metadata is version, command, seed, then `bounds` (p and q, or max),
+    then format.
+    """
+    meta = [("version", __version__), ("command", args.command), ("seed", args.seed),
+            *bounds, ("format", args.format)]
+    with _report_stream(args.out) as handle:
+        rows = [_sweep_row(verify_pair(p, q)) for p, q in pairs]
         summary = _make_summary(rows)
         timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        render = render_json if cfg.fmt == "json" else render_csv
-        handle.write(render(cfg, rows, summary, timestamp))
-    if cfg.out:
-        print(f"wrote {cfg.out}: {_summary_text(summary)}")
+        render = render_json if args.format == "json" else render_csv
+        handle.write(render(meta, rows, summary, timestamp))
+    if args.out:
+        print(f"wrote {args.out}: {_summary_text(summary)}")
     return 0 if summary["failures"] == 0 else 1
 
 
-def _make_summary(rows: list[SweepRow]) -> dict:
-    failures = sum(1 for row in rows if not row.all_pass)
+def _make_summary(rows: list[dict]) -> dict:
+    failures = sum(1 for row in rows if not row["all_pass"])
     summary: dict = {"pairs": len(rows), "failures": failures}
     if not rows:
         summary["note"] = "no pairs"
@@ -203,9 +158,7 @@ def _make_summary(rows: list[SweepRow]) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = RunConfig(command="verify", seed=args.seed, fmt=args.format, out=args.out,
-                    p=args.p, q=args.q)
-    return _verify_and_report(cfg, [(args.p, args.q)])
+    return _verify_and_report(args, [("p", args.p), ("q", args.q)], [(args.p, args.q)])
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -220,9 +173,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"sweep to {args.max} would need pair products up to "
             f"{primes[-1] * primes[-2]}, over the cap {stream_cap}"
         )
-    cfg = RunConfig(command="sweep", seed=args.seed, fmt=args.format, out=args.out,
-                    max=args.max)
-    return _verify_and_report(cfg, [(p, q) for i, p in enumerate(primes) for q in primes[i + 1 :]])
+    return _verify_and_report(args, [("max", args.max)],
+                              [(p, q) for i, p in enumerate(primes) for q in primes[i + 1 :]])
 
 
 def cmd_lemma_suite(args: argparse.Namespace) -> int:
@@ -264,8 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("lemma-suite", help="run a seeded randomized suite")
-    sp.add_argument("--which", required=True,
-                    help="one of: lemma1, lemma2, euler, wilson")
+    sp.add_argument("--which", required=True, help=f"one of: {', '.join(SUITE_NAMES)}")
     sp.add_argument("--n", type=int, required=True, help="number of cases")
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_lemma_suite)

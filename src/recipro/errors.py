@@ -9,10 +9,6 @@ class DomainError(ReciproError, ValueError):
     """An argument violates an operation's mathematical contract."""
 
 
-class GroupMismatchError(DomainError):
-    """Elements bound to different groups were combined."""
-
-
 class CapacityError(ReciproError):
     """An enumeration would exceed the configured budget."""
 

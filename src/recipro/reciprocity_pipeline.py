@@ -17,7 +17,7 @@ sits inside Gamma or in the order-2 coset {(1,-1), (-1,1)} according to the
 (q/p) and (p/q), and cross-checks the reciprocity identity with the same
 two symbols.  p and q are validated once, when the transversal is built;
 each symbol is one Euler-criterion power.  The public closed_form_product
-and qr_identity validate their own arguments and share the same helpers.
+validates its own arguments and shares the same helper.
 All named checks are recorded; a failure never aborts the remaining checks.
 
 Pure functions throughout; sweeps over many pairs may run concurrently.
@@ -61,7 +61,8 @@ class Transversal:
 
     Holds only the primes; the representatives are described by a keep-mask
     over k of pq/2 + 1 bytes, built on demand, which costs memory only while
-    it is read.  The entries themselves are never formed.
+    it is read.  The entries themselves are never formed.  pq is capped for
+    the pass over k, after the primes are validated.
     """
 
     p: int
@@ -69,6 +70,7 @@ class Transversal:
 
     def __post_init__(self):
         _validate_pair(self.p, self.q)
+        budget.require_within(self.p * self.q, budget.STREAM_PRODUCT_CAP, "transversal")
 
     def mask(self) -> bytearray:
         """pq/2 + 1 bytes: keep[k] is 1 iff p and q both do not divide k.
@@ -87,10 +89,8 @@ class Transversal:
 
 
 def build_transversal(p: int, q: int) -> Transversal:
-    """The canonical representative set for (p, q); pq is capped for the pass over k."""
-    L = Transversal(p, q)
-    budget.require_within(p * q, budget.STREAM_PRODUCT_CAP, "transversal")
-    return L
+    """The canonical representative set for (p, q)."""
+    return Transversal(p, q)
 
 
 # Below this many k per residue class of a modulus, slicing out the classes
@@ -192,16 +192,6 @@ def predicted_symbol_relation(p: int, q: int, rank: int) -> int:
     return RELATION_OPPOSITE
 
 
-def _qr_holds(p: int, q: int, leg_qp: int, leg_pq: int) -> bool:
-    return leg_pq * leg_qp == (-1 if ((p - 1) // 2) * ((q - 1) // 2) % 2 else 1)
-
-
-def qr_identity(p: int, q: int) -> bool:
-    """(p/q)(q/p) == (-1)^(((p-1)/2)((q-1)/2)), both symbols computed directly."""
-    _validate_pair(p, q)
-    return _qr_holds(p, q, euler_symbol(q, p), euler_symbol(p, q))
-
-
 @dataclass(frozen=True)
 class PairVerdict:
     """Every checked identity for one prime pair, plus the overall verdict."""
@@ -251,7 +241,7 @@ def verify_pair(p: int, q: int) -> PairVerdict:
     closed = _closed_form(p, q, leg_qp, leg_pq)
     rank = rank2_quotient_formula((p - 1, q - 1))
     predicted = predicted_symbol_relation(p, q, rank)
-    qr_holds = _qr_holds(p, q, leg_qp, leg_pq)
+    qr_holds = leg_pq * leg_qp == (-1 if ((p - 1) // 2) * ((q - 1) // 2) % 2 else 1)
 
     checks: dict[str, bool] = {}
     checks["product_matches_closed_form"] = product == closed

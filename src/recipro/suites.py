@@ -33,8 +33,6 @@ from .residue_arith import (
     wilson_check,
 )
 
-SUITE_NAMES = ("lemma1", "lemma2", "euler", "wilson")
-
 GROUP_MAX_ORDER = 1 << 12
 GROUP_MAX_FACTORS = 4
 GROUP_MAX_FACTOR_ORDER = 20
@@ -224,6 +222,7 @@ _RUNNERS = {
     "euler": run_euler_suite,
     "wilson": run_wilson_suite,
 }
+SUITE_NAMES = tuple(_RUNNERS)
 
 
 def run_suite(which: str, n_cases: int, seed: int) -> SuiteResult:

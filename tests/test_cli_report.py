@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from recipro import DomainError, UnitPair, budget, suites
-from recipro.cli_report import SWEEP_FIELDS, SweepRow, main
+from recipro import DomainError, UnitPair, __version__, budget, suites
+from recipro.cli_report import SWEEP_FIELDS, main
 from recipro.reciprocity_pipeline import PairVerdict
 
 EXPECTED_HEADER = (
@@ -326,14 +326,25 @@ class TestSweepRowShape:
             "qr_holds", "all_pass",
         )
 
-    def test_from_verdict(self):
-        from recipro import verify_pair
 
-        row = SweepRow.from_verdict(verify_pair(3, 5))
-        assert (row.p, row.q, row.rank) == (3, 5, 1)
-        assert (row.prodL_p, row.prodL_q) == (2, 1)
-        assert (row.closed_p, row.closed_q) == (2, 1)
-        assert row.relation == "equal"
-        assert row.qr_holds and row.all_pass
-        # the renderers read the fields through vars(row), in this order
-        assert tuple(vars(row)) == SWEEP_FIELDS
+class TestReportMetadata:
+    @pytest.mark.parametrize(
+        "argv,bounds",
+        [(["verify", "--p", "3", "--q", "5"], [("p", 3), ("q", 5)]),
+         (["sweep", "--max", "10"], [("max", 10)])],
+        ids=["verify", "sweep"],
+    )
+    def test_keys_values_and_order(self, argv, bounds, capsys):
+        expected = [("version", __version__), ("command", argv[0]), ("seed", 4), *bounds]
+        assert main([*argv, "--seed", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        head = lines[: lines.index(EXPECTED_HEADER)]
+        assert all(line.startswith("# ") for line in head)
+        meta = [tuple(line[2:].split(": ", 1)) for line in head]
+        assert meta[:-1] == [(key, str(value)) for key, value in [*expected, ("format", "csv")]]
+        assert meta[-1][0] == "generated_at"
+
+        assert main([*argv, "--seed", "4", "--format", "json"]) == 0
+        meta = json.loads(capsys.readouterr().out)["meta"]
+        assert list(meta.items())[:-1] == [*expected, ("format", "json")]
+        assert list(meta)[-1] == "generated_at"

@@ -12,7 +12,6 @@ from recipro import (
     legendre_euler,
     odd_primes_up_to,
     product_over_transversal,
-    qr_identity,
     verify_pair,
     verify_transversal,
 )
@@ -122,6 +121,16 @@ class TestBuildTransversal:
         assert build_transversal(449, 457).p == 449
         with pytest.raises(CapacityError):
             build_transversal(1021, 2063)
+
+    def test_direct_construction_is_capped(self):
+        # the cap lives on Transversal itself, so no pair skips it
+        with pytest.raises(CapacityError):
+            Transversal(1021, 2063)
+
+    def test_prime_errors_come_before_the_cap(self):
+        # 1021 * 2064 is also over the cap, but 2064 is not prime
+        with pytest.raises(DomainError, match="not prime"):
+            Transversal(1021, 2064)
 
 
 class TestProduct:
@@ -415,7 +424,7 @@ class TestValidateOnce:
         assert sorted(calls) == [7, 11]
 
     @pytest.mark.parametrize(
-        "fn", [closed_form_product, qr_identity],
+        "fn", [closed_form_product],
         ids=lambda fn: fn.__name__,
     )
     @pytest.mark.parametrize("p,q", [(5, 5), (9, 7)])
@@ -425,17 +434,15 @@ class TestValidateOnce:
 
 
 class TestQrIdentity:
+    """verify_pair's qr_identity check, against symbols computed on their own."""
+
     @pytest.mark.parametrize("p,q", [(3, 5), (3, 7), (5, 13), (7, 11)])
     def test_examples_and_symmetry(self, p, q):
-        assert qr_identity(p, q)
-        assert qr_identity(q, p) == qr_identity(p, q)
+        assert verify_pair(p, q).checks["qr_identity"]
+        assert verify_pair(q, p).checks["qr_identity"]
 
     def test_matches_direct_symbols(self):
         for p, q in SMALL_PAIRS:
             lhs = legendre_euler(p, q) * legendre_euler(q, p)
             rhs = -1 if ((p - 1) // 2) * ((q - 1) // 2) % 2 else 1
-            assert qr_identity(p, q) == (lhs == rhs)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            qr_identity(5, 5)
+            assert verify_pair(p, q).qr_identity_holds == (lhs == rhs)
