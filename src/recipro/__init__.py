@@ -44,6 +44,7 @@ from .reciprocity_pipeline import (
 from .residue_arith import (
     euler_criterion_check,
     factorial_mod,
+    factorial_residues,
     first_odd_primes,
     is_prime,
     legendre_euler,
@@ -72,6 +73,7 @@ __all__ = [
     "element_order",
     "euler_criterion_check",
     "factorial_mod",
+    "factorial_residues",
     "first_odd_primes",
     "is_prime",
     "legendre_euler",

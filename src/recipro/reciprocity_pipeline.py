@@ -152,6 +152,11 @@ def closed_form_product(p: int, q: int) -> UnitPair:
     return _closed_form(p, q, euler_symbol(q, p), euler_symbol(p, q))
 
 
+def _all_zero(marks: bytearray) -> bool:
+    """True iff every byte is 0, counted at C speed rather than item by item."""
+    return marks.count(0) == len(marks)
+
+
 def verify_transversal(L: Transversal) -> bool:
     """True iff L's mask marks exactly one k per coset of Gamma.
 
@@ -166,8 +171,8 @@ def verify_transversal(L: Transversal) -> bool:
     keep = L.mask()
     return (
         len(keep) == p * q // 2 + 1
-        and not any(keep[::p])
-        and not any(keep[::q])
+        and _all_zero(keep[::p])
+        and _all_zero(keep[::q])
         and keep.count(1) == (p - 1) * (q - 1) // 2
     )
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
-from math import isqrt, log
+from math import isqrt, log, prod
+from typing import Iterable
 
 from . import budget
 from .errors import CapacityError, DomainError, InternalCheckError
@@ -117,23 +118,44 @@ def legendre_oracle(a: int, p: int) -> int:
     return 1 if a in _square_residues(p) else -1
 
 
+def factorial_residues(points: Iterable[tuple[int, int]]) -> list[int]:
+    """n! mod m for every (n, m) in points, in input order, from one running product.
+
+    All points are checked before any multiplication.  Each k from 2 to the
+    largest n is multiplied once, reducing modulo the product of the moduli
+    still pending, which every pending m divides; points are answered in
+    ascending n, each m then leaving the product.
+    """
+    points = list(points)
+    for n, m in points:
+        _check_int(n)
+        _check_int(m, "modulus")
+        if n < 0:
+            raise DomainError(f"factorial argument must be nonnegative, got {n}")
+        if m < 2:
+            raise DomainError(f"modulus must be >= 2, got {m}")
+    top = max((n for n, _ in points), default=0)
+    budget.require_within(top, budget.FACTORIAL_LOOP_CAP, "factorial loop")
+    pending = prod(m for _, m in points)
+    residues = [0] * len(points)
+    acc = done = 1  # acc = done! mod pending
+    for i in sorted(range(len(points)), key=lambda i: points[i][0]):
+        n, m = points[i]
+        for k in range(done + 1, n + 1):
+            acc = acc * k % pending
+        done = max(done, n)
+        residues[i] = acc % m
+        pending //= m
+    return residues
+
+
 def factorial_mod(n: int, m: int) -> int:
-    """n! mod m, reducing after every multiplication."""
-    _check_int(n)
-    _check_int(m, "modulus")
-    if n < 0:
-        raise DomainError(f"factorial argument must be nonnegative, got {n}")
-    if m < 2:
-        raise DomainError(f"modulus must be >= 2, got {m}")
-    budget.require_within(n, budget.FACTORIAL_LOOP_CAP, "factorial loop")
-    acc = 1
-    for i in range(2, n + 1):
-        acc = acc * i % m
-    return acc
+    """n! mod m: :func:`factorial_residues` on the one point (n, m)."""
+    return factorial_residues([(n, m)])[0]
 
 
 def wilson_check(p: int) -> bool:
-    """True iff (p-1)! = -1 mod p, computed by the running product."""
+    """True iff (p-1)! = -1 mod p, computed by the running product (factorial_mod)."""
     p = validate_odd_prime(p)
     return factorial_mod(p - 1, p) == p - 1
 
@@ -146,6 +168,16 @@ def _product_of_multiples(qu: int, half: int, p: int) -> int:
     return left
 
 
+def _euler_identity(q: int, p: int, half_factorial: int) -> bool:
+    """euler_criterion_check for a validated p, given ((p-1)/2)! mod p."""
+    qu = _unit_mod(q, p)
+    half = (p - 1) // 2
+    budget.require_within(half, budget.FACTORIAL_LOOP_CAP, "multiple product")
+    left = _product_of_multiples(qu, half, p)
+    right = half_factorial if euler_symbol(qu, p) == 1 else (p - half_factorial) % p
+    return left == right
+
+
 def euler_criterion_check(q: int, p: int) -> bool:
     """Check (q)(2q)...((p-1)/2 * q) = (q/p) * ((p-1)/2)!  (mod p).
 
@@ -154,13 +186,7 @@ def euler_criterion_check(q: int, p: int) -> bool:
     (euler_symbol) and factorial_mod.  p is tested for primality once.
     """
     p = validate_odd_prime(p)
-    qu = _unit_mod(q, p)
-    half = (p - 1) // 2
-    budget.require_within(half, budget.FACTORIAL_LOOP_CAP, "multiple product")
-    left = _product_of_multiples(qu, half, p)
-    fact = factorial_mod(half, p)
-    right = fact if euler_symbol(qu, p) == 1 else (p - fact) % p
-    return left == right
+    return _euler_identity(q, p, factorial_mod((p - 1) // 2, p))
 
 
 def primes_up_to(n: int) -> list[int]:

@@ -27,10 +27,11 @@ from .quotient_rank import (
     rank2_quotient_formula,
 )
 from .residue_arith import (
-    euler_criterion_check,
+    _euler_identity,
+    factorial_residues,
     first_odd_primes,
     odd_primes_up_to,
-    wilson_check,
+    validate_odd_prime,
 )
 
 GROUP_MAX_ORDER = 1 << 12
@@ -193,11 +194,18 @@ def run_quotient_rank_suite(n_cases: int, seed: int) -> SuiteResult:
 
 
 def run_euler_suite(n_cases: int, seed: int) -> SuiteResult:
-    """Suite ``euler``: the multiple-product identity on random (q, p)."""
+    """Suite ``euler``: the multiple-product identity on random (q, p).
+
+    One factorial_residues call serves every distinct p; each case is
+    otherwise checked as euler_criterion_check does, p tested once.
+    """
     budget.require_within(n_cases, budget.SUITE_CASE_CAP, "euler suite")
+    cases = random_euler_cases(n_cases, seed)
+    primes = list({p for _, p in cases})
+    half_factorials = dict(zip(primes, factorial_residues([((p - 1) // 2, p) for p in primes])))
     outcomes = [
-        (euler_criterion_check(qv, p), f"q={qv} p={p}")
-        for qv, p in random_euler_cases(n_cases, seed)
+        (_euler_identity(qv, validate_odd_prime(p), half_factorials[p]), f"q={qv} p={p}")
+        for qv, p in cases
     ]
     return _tally("euler", outcomes)
 
@@ -208,11 +216,15 @@ def run_wilson_suite(n_cases: int, seed: int = 0) -> SuiteResult:
     The primes are sieved only up to the largest p whose (p-1)! is within
     the factorial loop cap.  Asking for more primes than lie below it,
     budget.WILSON_CASE_CAP, raises CapacityError before anything is sieved.
+    One factorial_residues call serves every prime, each tested once.
     Deterministic; the seed is accepted for interface uniformity only.
     """
     budget.require_within(n_cases, budget.WILSON_CASE_CAP, "wilson suite")
-    primes = first_odd_primes(n_cases, budget.FACTORIAL_LOOP_CAP + 1)
-    outcomes = [(wilson_check(p), f"p={p}") for p in primes]
+    primes = [
+        validate_odd_prime(p) for p in first_odd_primes(n_cases, budget.FACTORIAL_LOOP_CAP + 1)
+    ]
+    residues = factorial_residues([(p - 1, p) for p in primes])
+    outcomes = [(r == p - 1, f"p={p}") for p, r in zip(primes, residues)]
     return _tally("wilson", outcomes)
 
 

@@ -65,6 +65,14 @@ def quotient_count_by_element_loop(orders):
     return count
 
 
+def factorial_by_running_product(n, m):
+    """n! mod m for one point, multiplying 2, 3, ..., n and reducing modulo m each time."""
+    acc = 1
+    for k in range(2, n + 1):
+        acc = acc * k % m
+    return acc
+
+
 def multiples_by_running_term(q, p):
     """(q)(2q)...((p-1)/2 * q) mod p, stepping the multiple by q and reducing it."""
     step = q % p

@@ -1,14 +1,16 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recipro import (
     CapacityError,
     DomainError,
+    budget,
     euler_criterion_check,
     factorial_mod,
+    factorial_residues,
     first_odd_primes,
     is_prime,
     legendre_euler,
@@ -19,7 +21,11 @@ from recipro import (
     validate_odd_prime,
     wilson_check,
 )
-from _oracles import multiples_by_running_term, trial_division_is_prime
+from _oracles import (
+    factorial_by_running_product,
+    multiples_by_running_term,
+    trial_division_is_prime,
+)
 
 
 class TestIsPrime:
@@ -129,6 +135,62 @@ class TestFactorialMod:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             factorial_mod(10_000_001, 7)
+
+
+def watch_moduli(points):
+    """The points with each modulus replaced by an equal int that logs every
+    time it is divided out of another int, and that log."""
+    divided_out = []
+
+    class Watched(int):
+        def __rfloordiv__(self, other):
+            divided_out.append(int(self))
+            return other // int(self)
+
+    return [(n, Watched(m)) for n, m in points], divided_out
+
+
+class TestFactorialResidues:
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(2, 60)), max_size=12))
+    @example([(5, 6), (0, 2), (5, 6), (1, 9), (3, 4), (1, 2), (7, 2)])
+    @settings(max_examples=300)
+    def test_matches_running_product_pointwise(self, points):
+        # unsorted and repeated n, n in {0, 1}, m = 2, repeated and composite moduli
+        watched, divided_out = watch_moduli(points)
+        assert factorial_residues(watched) == [
+            factorial_by_running_product(n, m) for n, m in points
+        ]
+        # each answered point's modulus leaves the pending product once
+        assert sorted(divided_out) == sorted(m for _, m in points)
+
+    def test_empty(self):
+        assert factorial_residues([]) == []
+
+    @pytest.mark.parametrize(
+        "bad,error",
+        [((3, 1), DomainError), ((-1, 7), DomainError), ((2, 7.0), DomainError),
+         ((budget.FACTORIAL_LOOP_CAP + 1, 7), CapacityError)],
+    )
+    def test_bad_last_point_raises_before_any_multiplication(self, bad, error, monkeypatch):
+        # every k comes from a range built after validation; none may be built
+        ranges = []
+        monkeypatch.setattr(
+            residue_arith, "range", lambda *args: ranges.append(args) or range(*args),
+            raising=False,
+        )
+        with pytest.raises(error):
+            factorial_residues([(50, 7), (20, 9), bad])
+        assert ranges == []
+
+    def test_factorial_mod_is_the_one_point_case(self, monkeypatch):
+        calls = []
+        batched = residue_arith.factorial_residues
+        monkeypatch.setattr(
+            residue_arith, "factorial_residues",
+            lambda points: calls.append(list(points)) or batched(points),
+        )
+        assert factorial_mod(6, 7) == 6
+        assert calls == [[(6, 7)]]
 
 
 class TestWilson:

@@ -2,7 +2,17 @@ from math import isqrt, prod
 
 import pytest
 
-from recipro import CapacityError, DomainError, budget, is_prime, suites
+from recipro import (
+    CapacityError,
+    DomainError,
+    budget,
+    euler_criterion_check,
+    first_odd_primes,
+    is_prime,
+    residue_arith,
+    suites,
+    wilson_check,
+)
 from recipro.suites import (
     EVEN_FACTOR_CHOICES,
     FORCED_EVEN_CASES,
@@ -47,6 +57,21 @@ class TestGenerators:
         assert random_prime_pairs(10, 7) == random_prime_pairs(10, 7)
 
 
+def perturb_residues(monkeypatch, bad_moduli):
+    """Make factorial_residues answer (r + 1) mod m wherever m is in bad_moduli,
+    for the suites and for residue_arith's own callers alike."""
+    batched = residue_arith.factorial_residues
+
+    def faulty(points):
+        points = list(points)
+        return [
+            (r + 1) % m if m in bad_moduli else r for (_, m), r in zip(points, batched(points))
+        ]
+
+    monkeypatch.setattr(residue_arith, "factorial_residues", faulty)
+    monkeypatch.setattr(suites, "factorial_residues", faulty)
+
+
 class TestRunners:
     def test_lemma1(self):
         result = run_suite("lemma1", 30, 5)
@@ -70,9 +95,10 @@ class TestRunners:
         # with a cap of 100 the largest p checked is 101, the 25th odd prime
         monkeypatch.setattr(budget, "FACTORIAL_LOOP_CAP", 100)
         checked = []
-        wilson_check = suites.wilson_check
+        batched = suites.factorial_residues
         monkeypatch.setattr(
-            suites, "wilson_check", lambda p: checked.append(p) or wilson_check(p)
+            suites, "factorial_residues",
+            lambda points: checked.extend(m for _, m in points) or batched(points),
         )
         result = run_suite("wilson", 25, 0)
         assert result.all_pass and result.total == 25
@@ -81,6 +107,37 @@ class TestRunners:
         with pytest.raises(CapacityError):
             run_suite("wilson", 26, 0)
         assert checked == []
+
+    @pytest.mark.parametrize("bad", [(), (3, 101, 1051, 1993)])
+    def test_wilson_matches_per_case_checks(self, bad, monkeypatch):
+        # the same residue fault, if any, reaches both routes: the suite's one
+        # batched call and wilson_check's factorial_mod
+        perturb_residues(monkeypatch, bad)
+        failures = [f"p={p}" for p in first_odd_primes(300, 2000) if not wilson_check(p)]
+        assert len(failures) == len(bad)
+        result = run_suite("wilson", 300, 0)
+        assert (result.n_pass, result.failures) == (300 - len(failures), tuple(failures))
+
+    @pytest.mark.parametrize("bad", [(), (3, 1999, 1051, 101, 67)])
+    def test_euler_matches_per_case_checks(self, bad, monkeypatch):
+        perturb_residues(monkeypatch, bad)
+        failures = [
+            f"q={qv} p={p}" for qv, p in random_euler_cases(500, 1)
+            if not euler_criterion_check(qv, p)
+        ]
+        assert (len(failures) > 0) == (len(bad) > 0)
+        result = run_suite("euler", 500, 1)
+        assert (result.n_pass, result.failures) == (500 - len(failures), tuple(failures[:20]))
+
+    @pytest.mark.parametrize("which,n,seed", [("wilson", 25, 0), ("euler", 40, 1)])
+    def test_batched_residue_fault_fails_every_case(self, which, n, seed, monkeypatch):
+        batched = suites.factorial_residues
+        monkeypatch.setattr(
+            suites, "factorial_residues",
+            lambda points: [r + 1 for r in batched(points)],
+        )
+        result = run_suite(which, n, seed)
+        assert result.n_fail == n and len(result.failures) == min(n, 20)
 
     def test_wilson_case_cap_counts_the_odd_primes_below_the_factorial_cap(self):
         # one sieve to FACTORIAL_LOOP_CAP + 1, built here rather than by the library
