@@ -50,7 +50,6 @@ from .residue_arith import (
     legendre_euler,
     legendre_oracle,
     odd_primes_up_to,
-    primes_up_to,
     validate_odd_prime,
     wilson_check,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "legendre_oracle",
     "odd_primes_up_to",
     "predicted_symbol_relation",
-    "primes_up_to",
     "product_over_transversal",
     "rank2",
     "rank2_quotient_enumerated",

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from . import budget
 from .errors import DomainError
@@ -42,9 +42,6 @@ class AbelianGroup:
 
     def identity(self) -> GroupElement:
         return GroupElement(self, (0,) * len(self.factor_orders))
-
-    def element(self, coords: Sequence[int]) -> GroupElement:
-        return GroupElement(self, tuple(coords))
 
     def iter_coords(self) -> Iterator[tuple[int, ...]]:
         """All coordinate tuples in lexicographic order (capacity-checked)."""
@@ -74,7 +71,6 @@ class GroupElement:
 
 class Rank2Result(NamedTuple):
     rank: int
-    two_torsion_size: int
 
 
 def element_order(g: GroupElement) -> int:
@@ -99,11 +95,10 @@ def two_torsion_subgroup(G: AbelianGroup) -> list[GroupElement]:
 def rank2(G: AbelianGroup) -> Rank2Result:
     """2-rank by the closed form: the number of even factor orders.
 
-    The reported two-torsion size 2**rank always matches the length of
-    :func:`two_torsion_subgroup` when that enumeration is feasible.
+    2**rank equals the length of :func:`two_torsion_subgroup` whenever that
+    enumeration is feasible.
     """
-    r = sum(1 for n in G.factor_orders if n % 2 == 0)
-    return Rank2Result(rank=r, two_torsion_size=1 << r)
+    return Rank2Result(rank=sum(1 for n in G.factor_orders if n % 2 == 0))
 
 
 def sum_all_elements(G: AbelianGroup) -> GroupElement:

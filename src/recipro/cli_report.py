@@ -83,13 +83,6 @@ def render_json(meta: Meta, rows: list[dict], summary: dict, timestamp: str) -> 
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _open_report(path: str, mode: str, out: str) -> TextIO:
-    try:
-        return open(path, mode, encoding="utf-8", newline="\n")
-    except OSError as exc:  # name the destination as given, not the temp file
-        raise OSError(exc.errno, exc.strerror, out) from None
-
-
 @contextlib.contextmanager
 def _report_stream(out: str | None) -> Iterator[TextIO]:
     """Stdout, or the file `out` names once symlinks are resolved.
@@ -98,35 +91,40 @@ def _report_stream(out: str | None) -> Iterator[TextIO]:
     it once complete; a device or FIFO is written in place, never replaced.
     The stream is opened on entry, before the caller verifies anything, so a
     bad destination fails fast; on any error the temp file is removed, so no
-    run leaves a partial report behind.
+    run leaves a partial report behind.  Every OSError from the stat to the
+    final replace, the caller's writes included, is re-raised naming `out`
+    as given, never the temp file.
     """
     if out is None:
         yield sys.stdout
         return
     if not out:
         raise DomainError("--out needs a file path, got ''")
+    tmp = None
     try:
-        mode = os.stat(out).st_mode
-    except OSError:  # missing or unreachable: opening the temp file says which
-        mode = stat.S_IFREG
-    if stat.S_ISDIR(mode):
-        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), out)
-    if not stat.S_ISREG(mode):
-        # opened through `out`, so links such as /dev/stdout resolve as the OS does
-        with _open_report(out, "w", out) as handle:
-            yield handle
-        return
-    dest = os.path.realpath(out)
-    tmp = f"{dest}.{os.getpid()}.tmp"
-    handle = _open_report(tmp, "x", out)
-    try:
-        with handle:
+        try:
+            mode = os.stat(out).st_mode
+        except OSError:  # missing or unreachable: opening the temp file says which
+            mode = stat.S_IFREG
+        if stat.S_ISDIR(mode):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISREG(mode):
+            # opened through `out`, so links such as /dev/stdout resolve as the OS does
+            with open(out, "w", encoding="utf-8", newline="\n") as handle:
+                yield handle
+            return
+        dest = os.path.realpath(out)
+        with open(f"{dest}.{os.getpid()}.tmp", "x", encoding="utf-8", newline="\n") as handle:
+            tmp = handle.name
             yield handle
         os.replace(tmp, dest)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+        tmp = None
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out) from None
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
 
 
 def _verify_and_report(args: argparse.Namespace, bounds: Meta,

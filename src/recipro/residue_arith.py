@@ -189,21 +189,15 @@ def euler_criterion_check(q: int, p: int) -> bool:
     return _euler_identity(q, p, factorial_mod((p - 1) // 2, p))
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, ascending (sieve of Eratosthenes)."""
-    if n < 2:
+def odd_primes_up_to(n: int) -> list[int]:
+    """All odd primes <= n, ascending (sieve of Eratosthenes over the odd numbers)."""
+    if n < 3:
         return []
     sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, isqrt(n) + 1):
+    for i in range(3, isqrt(n) + 1, 2):
         if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
-    return list(compress(range(n + 1), sieve))
-
-
-def odd_primes_up_to(n: int) -> list[int]:
-    """All odd primes <= n, ascending."""
-    return primes_up_to(n)[1:]  # 2 comes first whenever there is any prime
+            sieve[i * i :: 2 * i] = bytes(len(range(i * i, n + 1, 2 * i)))
+    return list(compress(range(3, n + 1, 2), sieve[3::2]))
 
 
 def first_odd_primes(count: int, limit: int) -> list[int]:

@@ -2,9 +2,9 @@
 
 All randomness comes from ``random.Random(seed)``, i.e. the Mersenne Twister
 (MT19937) as shipped with CPython.  Every generator documents its exact draw
-sequence, so a case list is reproducible from the seed alone.  The lemma1,
-lemma2 and euler runners refuse more than budget.SUITE_CASE_CAP cases with
-CapacityError before any case is drawn.
+sequence, so a case list is reproducible from the seed alone.  run_suite
+refuses more than budget.SUITE_CASE_CAP cases (budget.WILSON_CASE_CAP for
+wilson) with CapacityError before any case is drawn.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .abelian_core import (
     sum_all_elements,
     two_torsion_subgroup,
 )
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .quotient_rank import (
     rank2_quotient_enumerated,
     rank2_quotient_formula,
@@ -45,13 +45,11 @@ PAIR_MIN_EXCLUSIVE = 200
 PAIR_MAX_PRODUCT = 200_000
 
 
-def random_factor_lists(
-    n_cases: int, seed: int, *, max_order: int = GROUP_MAX_ORDER
-) -> list[tuple[int, ...]]:
-    """Random cyclic factor lists with bounded group order.
+def random_factor_lists(n_cases: int, seed: int) -> list[tuple[int, ...]]:
+    """Random cyclic factor lists with group order at most GROUP_MAX_ORDER.
 
     Per case: draw k = randint(1, 4), then k draws of randint(1, 20); the
-    whole list is rejected and redrawn while the product exceeds max_order.
+    whole list is rejected and redrawn while the product exceeds 2**12.
     """
     rng = random.Random(seed)
     out = []
@@ -61,7 +59,7 @@ def random_factor_lists(
             orders = tuple(
                 rng.randint(1, GROUP_MAX_FACTOR_ORDER) for _ in range(k)
             )
-            if prod(orders) <= max_order:
+            if prod(orders) <= GROUP_MAX_ORDER:
                 break
         out.append(orders)
     return out
@@ -100,29 +98,22 @@ def random_euler_cases(n_cases: int, seed: int) -> list[tuple[int, int]]:
     return cases
 
 
-def random_prime_pairs(
-    n_cases: int,
-    seed: int,
-    *,
-    min_exclusive: int = PAIR_MIN_EXCLUSIVE,
-    max_product: int = PAIR_MAX_PRODUCT,
-) -> list[tuple[int, int]]:
-    """Random pairs of odd primes p < q with p > min_exclusive, pq <= max_product.
+def random_prime_pairs(n_cases: int, seed: int) -> list[tuple[int, int]]:
+    """Random pairs of odd primes p < q with p > PAIR_MIN_EXCLUSIVE (200) and
+    pq <= PAIR_MAX_PRODUCT (200000).
 
     Per case: p = choice over the eligible smaller primes (those in
-    (min_exclusive, isqrt(max_product)] with at least one partner), then
-    q = choice over the odd primes in (p, max_product // p].
+    (200, isqrt(200000)] with at least one partner), then q = choice over
+    the odd primes in (p, 200000 // p].
     """
-    all_primes = odd_primes_up_to(max_product // (min_exclusive + 1) + 1)
+    all_primes = odd_primes_up_to(PAIR_MAX_PRODUCT // (PAIR_MIN_EXCLUSIVE + 1) + 1)
     candidates = []
     for p in all_primes:
-        if p <= min_exclusive or p > isqrt(max_product):
+        if p <= PAIR_MIN_EXCLUSIVE or p > isqrt(PAIR_MAX_PRODUCT):
             continue
-        partners = [r for r in all_primes if p < r <= max_product // p]
+        partners = [r for r in all_primes if p < r <= PAIR_MAX_PRODUCT // p]
         if partners:
             candidates.append((p, partners))
-    if not candidates:
-        raise DomainError("no prime pairs satisfy the requested bounds")
     rng = random.Random(seed)
     cases = []
     for _ in range(n_cases):
@@ -156,7 +147,6 @@ def run_sum_elements_suite(n_cases: int, seed: int) -> SuiteResult:
     """Suite ``lemma1``: on random groups the sum of all elements is the
     identity exactly when the 2-rank differs from 1, and otherwise is the
     unique element of order 2."""
-    budget.require_within(n_cases, budget.SUITE_CASE_CAP, "lemma1 suite")
     outcomes = []
     for orders in random_factor_lists(n_cases, seed):
         G = AbelianGroup(orders)
@@ -181,7 +171,6 @@ def run_quotient_rank_suite(n_cases: int, seed: int) -> SuiteResult:
     The first two cases are always the forced lists (4, 4) and (2, 4); the
     remaining n_cases - 2 are drawn by random_even_factor_lists.
     """
-    budget.require_within(n_cases, budget.SUITE_CASE_CAP, "lemma2 suite")
     cases = list(FORCED_EVEN_CASES[:n_cases])
     if n_cases > len(FORCED_EVEN_CASES):
         cases += random_even_factor_lists(n_cases - len(FORCED_EVEN_CASES), seed)
@@ -199,7 +188,6 @@ def run_euler_suite(n_cases: int, seed: int) -> SuiteResult:
     One factorial_residues call serves every distinct p; each case is
     otherwise checked as euler_criterion_check does, p tested once.
     """
-    budget.require_within(n_cases, budget.SUITE_CASE_CAP, "euler suite")
     cases = random_euler_cases(n_cases, seed)
     primes = list({p for _, p in cases})
     half_factorials = dict(zip(primes, factorial_residues([((p - 1) // 2, p) for p in primes])))
@@ -210,16 +198,14 @@ def run_euler_suite(n_cases: int, seed: int) -> SuiteResult:
     return _tally("euler", outcomes)
 
 
-def run_wilson_suite(n_cases: int, seed: int = 0) -> SuiteResult:
+def run_wilson_suite(n_cases: int, seed: int) -> SuiteResult:
     """Suite ``wilson``: (p-1)! = -1 mod p for the first n odd primes.
 
     The primes are sieved only up to the largest p whose (p-1)! is within
-    the factorial loop cap.  Asking for more primes than lie below it,
-    budget.WILSON_CASE_CAP, raises CapacityError before anything is sieved.
-    One factorial_residues call serves every prime, each tested once.
+    the factorial loop cap; budget.WILSON_CASE_CAP counts the odd primes
+    below it.  One factorial_residues call serves every prime, each tested once.
     Deterministic; the seed is accepted for interface uniformity only.
     """
-    budget.require_within(n_cases, budget.WILSON_CASE_CAP, "wilson suite")
     primes = [
         validate_odd_prime(p) for p in first_odd_primes(n_cases, budget.FACTORIAL_LOOP_CAP + 1)
     ]
@@ -242,4 +228,7 @@ def run_suite(which: str, n_cases: int, seed: int) -> SuiteResult:
         raise DomainError(f"unknown suite {which!r}; choose from {', '.join(SUITE_NAMES)}")
     if n_cases < 1:
         raise DomainError(f"n_cases must be >= 1, got {n_cases}")
+    cap = budget.WILSON_CASE_CAP if which == "wilson" else budget.SUITE_CASE_CAP
+    if n_cases > cap:
+        raise CapacityError(f"{which} suite needs {n_cases} cases, over the cap of {cap}")
     return _RUNNERS[which](n_cases, seed)

@@ -1,3 +1,5 @@
+import errno
+import glob
 import hashlib
 import json
 import os
@@ -6,8 +8,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from recipro import DomainError, UnitPair, __version__, budget, suites
+from recipro import DomainError, UnitPair, __version__, budget, odd_primes_up_to, suites
 from recipro.cli_report import SWEEP_FIELDS, main
 from recipro.reciprocity_pipeline import PairVerdict
 
@@ -246,6 +250,31 @@ class TestReportFile:
         assert csv_body(report)[1] == "3,5,3,1,1,2,1,2,1,-1,-1,equal,true,true"
         assert list(tmp_path.iterdir()) == [fifo]
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_full_device_error_names_the_path(self, capsys):
+        assert main(["sweep", "--max", "10", "--out", "/dev/full"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), '/dev/full')}\n"
+        assert glob.glob("/dev/full*.tmp") == []
+
+    def test_write_error_names_the_path_as_given(self, tmp_path, monkeypatch, capsys):
+        def failing_write(text):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        def open_with_failing_writes(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            handle.write = failing_write
+            return handle
+
+        monkeypatch.setattr("recipro.cli_report.open", open_with_failing_writes, raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--max", "10", "--out", "r.csv"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {OSError(errno.EIO, os.strerror(errno.EIO), 'r.csv')}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestLemmaSuiteCommand:
     def test_lemma1(self):
@@ -278,7 +307,7 @@ class TestLemmaSuiteCommand:
         assert main(["lemma-suite", "--which", "wilson", "--n", "700000"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: wilson suite needs 700000 steps, over the cap of 664578\n"
+        assert err == "error: wilson suite needs 700000 cases, over the cap of 664578\n"
 
     @pytest.mark.parametrize(
         "which,generator",
@@ -296,7 +325,7 @@ class TestLemmaSuiteCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            f"error: {which} suite needs {n} steps, over the cap of {budget.SUITE_CASE_CAP}\n"
+            f"error: {which} suite needs {n} cases, over the cap of {budget.SUITE_CASE_CAP}\n"
         )
 
     def test_unknown_suite_exits_2(self):
@@ -348,3 +377,59 @@ class TestReportMetadata:
         meta = json.loads(capsys.readouterr().out)["meta"]
         assert list(meta.items())[:-1] == [*expected, ("format", "json")]
         assert list(meta)[-1] == "generated_at"
+
+
+# Values no int flag parses, and ints either side of the 64-bit range is_prime accepts.
+ODD_STRINGS = st.sampled_from(["", "x", "1.5", "0x10", "-", "nan", "\u00e9", "--max"])
+EDGE_INTS = st.sampled_from([-(2**64), 2**63 - 25, 2**64 - 59, 2**64, 2**64 + 1])
+SMALL_INTS = st.integers(-3, 60)
+
+
+def int_flag(name, *values):
+    """`name` with a generated int, or with a string no int flag parses."""
+    return st.tuples(st.just(name), st.one_of(*values, ODD_STRINGS).map(str))
+
+
+def choice_flag(name, choices):
+    return st.tuples(st.just(name), st.sampled_from(choices))
+
+
+def optional(flag):
+    return st.one_of(flag, st.just(()))
+
+
+def argv_for(command, *flags):
+    return st.tuples(*flags).map(lambda parts: [command, *(x for part in parts for x in part)])
+
+
+class TestNoTraceback:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_invocation_exits_cleanly(self, data, tmp_path, capsys):
+        # --out is a file under tmp_path or in a missing directory, nothing else
+        outs = [str(tmp_path / "r.csv"), str(tmp_path / "missing" / "r.csv")]
+        seeds = (SMALL_INTS, st.integers(-(2**70), 2**70))
+        report = (optional(choice_flag("--format", ["csv", "json", "xml"])),
+                  optional(choice_flag("--out", outs)), optional(int_flag("--seed", *seeds)))
+        ints = (st.sampled_from(odd_primes_up_to(60)), SMALL_INTS, EDGE_INTS)
+        # --max and --n are small, or so far over their cap that they are refused unrun
+        over_sweep_cap = st.integers(budget.STREAM_PRODUCT_CAP + 1, 2**70)
+        over_case_caps = st.integers(max(budget.SUITE_CASE_CAP, budget.WILSON_CASE_CAP) + 1,
+                                     2**70)
+        argv = data.draw(st.one_of(
+            argv_for("verify", int_flag("--p", *ints), int_flag("--q", *ints), *report),
+            argv_for("sweep", int_flag("--max", SMALL_INTS, over_sweep_cap), *report),
+            argv_for("lemma-suite", choice_flag("--which", [*suites.SUITE_NAMES, "lemma9"]),
+                     int_flag("--n", st.integers(-3, 50), over_case_caps),
+                     optional(int_flag("--seed", *seeds))),
+            argv_for("legendre", int_flag("--a", *ints, *seeds), int_flag("--p", *ints)),
+        ))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the argv
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert sum("error:" in line for line in err.splitlines()) <= 1, err
+        assert list(tmp_path.glob("*.tmp")) == []

@@ -16,7 +16,6 @@ from recipro import (
     legendre_euler,
     legendre_oracle,
     odd_primes_up_to,
-    primes_up_to,
     residue_arith,
     validate_odd_prime,
     wilson_check,
@@ -254,13 +253,12 @@ class TestEulerCriterionCheck:
 
 
 class TestPrimeListing:
-    def test_primes_up_to(self):
-        assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-        assert primes_up_to(1) == []
-        assert primes_up_to(2) == [2]
-
     def test_odd_primes(self):
         assert odd_primes_up_to(20) == [3, 5, 7, 11, 13, 17, 19]
+        assert odd_primes_up_to(30) == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+        assert odd_primes_up_to(9) == odd_primes_up_to(10) == [3, 5, 7]
+        assert odd_primes_up_to(3) == [3]
+        assert odd_primes_up_to(2) == odd_primes_up_to(1) == odd_primes_up_to(0) == []
 
     def test_first_odd_primes(self):
         assert first_odd_primes(5, 13) == [3, 5, 7, 11, 13]
@@ -286,6 +284,6 @@ class TestPrimeListing:
         assert len(bounds) == 2 and bounds[0] < 10**4 and bounds[1] == 101
 
     def test_sieve_matches_miller_rabin(self):
-        sieved = set(primes_up_to(5000))
+        sieved = set(odd_primes_up_to(5000))
         for n in range(5000 + 1):
-            assert (n in sieved) == is_prime(n)
+            assert (n in sieved) == (is_prime(n) and n != 2)

@@ -164,7 +164,7 @@ class TestRunners:
     def test_oversized_request_draws_nothing(self, which, generator, monkeypatch):
         drawn = []
         monkeypatch.setattr(suites, generator, lambda *args, **kwargs: drawn.append(args) or [])
-        with pytest.raises(CapacityError, match=f"{which} suite needs 100001 steps"):
+        with pytest.raises(CapacityError, match=f"{which} suite needs 100001 cases"):
             run_suite(which, budget.SUITE_CASE_CAP + 1, 0)
         assert drawn == []
         # at the cap the request is admitted and reaches the (stubbed) generator
