@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .abelian_core import (
     AbelianGroup,
-    GroupElement,
     Rank2Result,
     element_order,
     rank2,
@@ -58,7 +57,6 @@ __all__ = [
     "AbelianGroup",
     "CapacityError",
     "DomainError",
-    "GroupElement",
     "InternalCheckError",
     "PairVerdict",
     "RELATION_EQUAL",

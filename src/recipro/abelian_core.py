@@ -1,10 +1,13 @@
 """Exact arithmetic in finite abelian groups given as products of cyclic groups.
 
-A group is described by its factor orders (n_1, ..., n_k); an element carries
-one reduced residue per factor.  Enumeration order is lexicographic on the
-coordinate tuples (the rightmost coordinate varies fastest), and every
-operation that walks the whole group is capacity-checked first.  The walks
-in two_torsion_subgroup and sum_all_elements visit every element, but run
+A group is described by its factor orders (n_1, ..., n_k); an element is its
+tuple of reduced residues 0 <= g_i < n_i, one per factor, as iter_coords
+yields it, and the identity is the all-zero tuple.  element_order is the only
+function that takes an element from the caller, so it checks that every
+coordinate is reduced.  Enumeration order is lexicographic on the coordinate
+tuples (the rightmost coordinate varies fastest), and every operation that
+walks the whole group is capacity-checked first.  The walks in
+two_torsion_subgroup and sum_all_elements visit every element, but run
 through itertools and builtins, with no Python bytecode per element.
 
 Values are immutable after construction and all operations are pure
@@ -40,46 +43,34 @@ class AbelianGroup:
     def order(self) -> int:
         return prod(self.factor_orders)
 
-    def identity(self) -> GroupElement:
-        return GroupElement(self, (0,) * len(self.factor_orders))
-
     def iter_coords(self) -> Iterator[tuple[int, ...]]:
         """All coordinate tuples in lexicographic order (capacity-checked)."""
         budget.require_within(self.order, budget.GROUP_ENUM_CAP, "group enumeration")
         return itertools.product(*(range(n) for n in self.factor_orders))
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """An element of an AbelianGroup: one residue 0 <= g_i < n_i per factor."""
-
-    group: AbelianGroup
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        coords = tuple(self.coords)
-        orders = self.group.factor_orders
-        if len(coords) != len(orders):
-            raise DomainError(
-                f"expected {len(orders)} coordinates, got {len(coords)}"
-            )
-        for c, n in zip(coords, orders):
-            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < n:
-                raise DomainError(f"coordinate {c!r} is not reduced modulo {n}")
-        object.__setattr__(self, "coords", coords)
-
-
 class Rank2Result(NamedTuple):
     rank: int
 
 
-def element_order(g: GroupElement) -> int:
-    """Least m >= 1 with m*g = 0, i.e. lcm over factors of n_i / gcd(n_i, g_i)."""
-    return lcm(*(n // gcd(n, c) for c, n in zip(g.coords, g.group.factor_orders)))
+def element_order(G: AbelianGroup, coords: tuple[int, ...]) -> int:
+    """Least m >= 1 with m*g = 0, i.e. lcm over factors of n_i / gcd(n_i, g_i).
+
+    Raises DomainError unless coords holds one int 0 <= g_i < n_i per factor.
+    """
+    coords = tuple(coords)
+    orders = G.factor_orders
+    if len(coords) != len(orders):
+        raise DomainError(f"expected {len(orders)} coordinates, got {len(coords)}")
+    for c, n in zip(coords, orders):
+        if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < n:
+            raise DomainError(f"coordinate {c!r} is not reduced modulo {n}")
+    return lcm(*(n // gcd(n, c) for c, n in zip(coords, orders)))
 
 
-def two_torsion_subgroup(G: AbelianGroup) -> list[GroupElement]:
-    """All g with 2g = 0, in lexicographic order, by full enumeration.
+def two_torsion_subgroup(G: AbelianGroup) -> list[tuple[int, ...]]:
+    """The coordinate tuples of all g with 2g = 0, in lexicographic order,
+    by full enumeration.
 
     Each factor's flags 2c = 0 are tabulated once; their product runs in step
     with the walk over G, so one flag tuple is tested per element.  The
@@ -88,8 +79,7 @@ def two_torsion_subgroup(G: AbelianGroup) -> list[GroupElement]:
     orders = G.factor_orders
     flags = [[2 * c % n == 0 for c in range(n)] for n in orders]
     want = (True,) * len(orders)
-    kept = itertools.compress(G.iter_coords(), map(want.__eq__, itertools.product(*flags)))
-    return [GroupElement(G, coords) for coords in kept]
+    return list(itertools.compress(G.iter_coords(), map(want.__eq__, itertools.product(*flags))))
 
 
 def rank2(G: AbelianGroup) -> Rank2Result:
@@ -101,15 +91,16 @@ def rank2(G: AbelianGroup) -> Rank2Result:
     return Rank2Result(rank=sum(1 for n in G.factor_orders if n % 2 == 0))
 
 
-def sum_all_elements(G: AbelianGroup) -> GroupElement:
-    """The sum of every element of G, by honest full enumeration.
+def sum_all_elements(G: AbelianGroup) -> tuple[int, ...]:
+    """The coordinate tuple of the sum of every element of G, by honest full
+    enumeration.
 
     Coordinate i is the sum of coordinate i over one full walk of G, so the
     group is walked once per factor and never held in memory.  The result is
-    the identity unless the 2-rank is exactly 1, in which case it is the
-    unique element of order 2.
+    the identity (all zeros) unless the 2-rank is exactly 1, in which case it
+    is the unique element of order 2.
     """
-    return GroupElement(G, tuple(
+    return tuple(
         sum(map(itemgetter(i), G.iter_coords())) % n
         for i, n in enumerate(G.factor_orders)
-    ))
+    )

@@ -68,9 +68,8 @@ def _summary_text(summary: dict) -> str:
 Meta = list[tuple[str, object]]
 
 
-def render_csv(meta: Meta, rows: list[dict], summary: dict, timestamp: str) -> str:
+def render_csv(meta: Meta, rows: list[dict], summary: dict) -> str:
     lines = [f"# {key}: {value}" for key, value in meta]
-    lines.append(f"# generated_at: {timestamp}")
     lines.append(",".join(SWEEP_FIELDS))
     for row in rows:
         lines.append(",".join(_csv_value(v) for v in row.values()))
@@ -78,8 +77,8 @@ def render_csv(meta: Meta, rows: list[dict], summary: dict, timestamp: str) -> s
     return "\n".join(lines) + "\n"
 
 
-def render_json(meta: Meta, rows: list[dict], summary: dict, timestamp: str) -> str:
-    doc = {"meta": dict(meta, generated_at=timestamp), "rows": rows, "summary": summary}
+def render_json(meta: Meta, rows: list[dict], summary: dict) -> str:
+    doc = {"meta": dict(meta), "rows": rows, "summary": summary}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -132,16 +131,16 @@ def _verify_and_report(args: argparse.Namespace, bounds: Meta,
     """Verify every pair and write the report; the exit code is 1 on any failure.
 
     The metadata is version, command, seed, then `bounds` (p and q, or max),
-    then format.
+    then format, and last generated_at, stamped once every pair is verified.
     """
     meta = [("version", __version__), ("command", args.command), ("seed", args.seed),
             *bounds, ("format", args.format)]
     with _report_stream(args.out) as handle:
         rows = [_sweep_row(verify_pair(p, q)) for p, q in pairs]
         summary = _make_summary(rows)
-        timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        meta.append(("generated_at", datetime.now(timezone.utc).isoformat(timespec="seconds")))
         render = render_json if args.format == "json" else render_csv
-        handle.write(render(meta, rows, summary, timestamp))
+        handle.write(render(meta, rows, summary))
     if args.out:
         print(f"wrote {args.out}: {_summary_text(summary)}")
     return 0 if summary["failures"] == 0 else 1
@@ -235,6 +234,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

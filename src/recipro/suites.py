@@ -153,14 +153,14 @@ def run_sum_elements_suite(n_cases: int, seed: int) -> SuiteResult:
         a = sum_all_elements(G)
         if rank2(G).rank == 1:
             torsion = two_torsion_subgroup(G)
-            nontrivial = [e for e in torsion if e != G.identity()]
+            nontrivial = [e for e in torsion if any(e)]
             ok = (
                 len(torsion) == 2
-                and element_order(a) == 2
+                and element_order(G, a) == 2
                 and a == nontrivial[0]
             )
         else:
-            ok = a == G.identity()
+            ok = not any(a)
         outcomes.append((ok, f"orders={orders}"))
     return _tally("lemma1", outcomes)
 

@@ -1,12 +1,14 @@
-"""Every name recipro exports, and every public member of an exported class,
-is used by the package or by the acceptance tests.
+"""Every name recipro exports, every public module-level function, class and
+constant of every recipro module, and every public member of an exported
+class, is used by the package or by the acceptance tests.
 
-A name counts as used when it appears as a Name or an Attribute in a module
-of the package other than __init__.py, or when tests/test_acceptance.py
-imports it.  A public method, property or dataclass/NamedTuple field of an
-exported class counts as used when it is read as an attribute in such a
-module or anywhere in tests/test_acceptance.py.  An export or member that
-neither uses should be deleted, not kept.
+A name counts as used when it is loaded (ast.Load, so an assignment is not
+its own use) as a Name or an Attribute in a module of the package other than
+__init__.py, or when tests/test_acceptance.py imports it.  A public method,
+property or dataclass/NamedTuple field of an exported class counts as used
+when it is read as an attribute in such a module or anywhere in
+tests/test_acceptance.py.  A name or member that neither uses should be
+deleted, not kept.
 """
 
 import ast
@@ -32,11 +34,22 @@ def names_used_in_package():
     used = set()
     for tree in package_modules():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
     return used
+
+
+def module_level_definitions(tree):
+    """Names that a module's own top-level def, class or assignment binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
 
 
 def names_imported_by_acceptance():
@@ -67,6 +80,17 @@ def public_members(cls):
 def test_every_export_has_a_caller():
     used = names_used_in_package() | names_imported_by_acceptance()
     assert sorted(set(recipro.__all__) - used) == []
+
+
+def test_every_public_module_level_name_has_a_caller():
+    used = names_used_in_package() | names_imported_by_acceptance()
+    unused = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for name in module_level_definitions(parse(path))
+        if not name.startswith("_") and name not in used
+    ]
+    assert unused == []
 
 
 def test_every_member_of_an_exported_class_has_a_caller():

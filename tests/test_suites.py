@@ -77,6 +77,29 @@ class TestRunners:
         result = run_suite("lemma1", 30, 5)
         assert result.all_pass and result.total == 30
 
+    def test_lemma1_fails_where_the_sum_is_moved(self, monkeypatch):
+        # adding 1 to the first coordinate moves the sum unless that factor is trivial
+        exact = suites.sum_all_elements
+        monkeypatch.setattr(
+            suites, "sum_all_elements",
+            lambda G: ((exact(G)[0] + 1) % G.factor_orders[0], *exact(G)[1:]),
+        )
+        expected = sum(1 for orders in random_factor_lists(200, 5) if orders[0] > 1)
+        assert 0 < expected < 200
+        assert run_suite("lemma1", 200, 5).n_fail == expected
+
+    def test_lemma1_fails_where_the_two_torsion_is_read(self, monkeypatch):
+        # only rank-1 cases (exactly one even factor) consult the two-torsion
+        monkeypatch.setattr(
+            suites, "two_torsion_subgroup", lambda G: [(0,) * len(G.factor_orders)],
+        )
+        expected = sum(
+            1 for orders in random_factor_lists(200, 5)
+            if sum(n % 2 == 0 for n in orders) == 1
+        )
+        assert 0 < expected < 200
+        assert run_suite("lemma1", 200, 5).n_fail == expected
+
     def test_lemma2_includes_forced_cases(self):
         result = run_suite("lemma2", 10, 7)
         assert result.all_pass and result.total == 10
