@@ -1,20 +1,18 @@
-"""Enumeration budgets.
+"""Enumeration budgets, one cap per kind of work.
 
-Operations that walk a whole group, a whole transversal, or a
-factorial-length loop check the step count against a fixed cap before
-starting and raise :class:`~recipro.errors.CapacityError` instead of running
-away.  The caps keep everything at desk scale; there is no override, so a
-result depends only on the arguments.
+The function that does the work checks its cap before starting: a walk over
+a whole group, the pass over a transversal, a factorial running product, a
+suite's case list, the square oracle.  Over the cap it raises
+:class:`~recipro.errors.CapacityError` instead of running away.  There is no
+override, so a result depends only on the arguments.
 """
 
 from .errors import CapacityError
 
-GROUP_ENUM_CAP = 1 << 22         # full enumeration of an abelian group
-QUOTIENT_ENUM_CAP = 1 << 18      # two-torsion counting modulo the diagonal subgroup
+GROUP_ENUM_CAP = 1 << 22         # one walk over a whole group, quotient-rank counting included
 STREAM_PRODUCT_CAP = 1 << 21     # transversal product, one pass over 0 < k < pq/2
-FACTORIAL_LOOP_CAP = 10_000_000  # factorial-style running products
-WILSON_CASE_CAP = 664_578        # wilson suite: the odd primes <= FACTORIAL_LOOP_CAP + 1
-SUITE_CASE_CAP = 100_000         # lemma1, lemma2 and euler suites: cases per run
+FACTORIAL_LOOP_CAP = 10_000_000  # factorial running products, largest n
+SUITE_CASE_CAP = 100_000         # cases per run of every suite
 SQUARE_ORACLE_CAP = 100_000      # square-enumeration oracle, bound on the modulus
 
 

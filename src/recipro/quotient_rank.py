@@ -60,7 +60,7 @@ def rank2_quotient_enumerated(orders: Sequence[int]) -> int:
     """
     orders = _even_orders(orders)
     order = prod(orders)
-    budget.require_within(order, budget.QUOTIENT_ENUM_CAP, "quotient two-torsion count")
+    budget.require_within(order, budget.GROUP_ENUM_CAP, "quotient two-torsion count")
     tally = Counter(product(*map(_doubling_codes, orders)))
     visited = sum(tally.values())
     if visited != order:

@@ -169,10 +169,12 @@ def _product_of_multiples(qu: int, half: int, p: int) -> int:
 
 
 def _euler_identity(q: int, p: int, half_factorial: int) -> bool:
-    """euler_criterion_check for a validated p, given ((p-1)/2)! mod p."""
+    """euler_criterion_check for a validated p, given ((p-1)/2)! mod p.
+
+    The factorial's own cap check already bounds the (p-1)/2 multiples.
+    """
     qu = _unit_mod(q, p)
     half = (p - 1) // 2
-    budget.require_within(half, budget.FACTORIAL_LOOP_CAP, "multiple product")
     left = _product_of_multiples(qu, half, p)
     right = half_factorial if euler_symbol(qu, p) == 1 else (p - half_factorial) % p
     return left == right

@@ -3,8 +3,8 @@
 All randomness comes from ``random.Random(seed)``, i.e. the Mersenne Twister
 (MT19937) as shipped with CPython.  Every generator documents its exact draw
 sequence, so a case list is reproducible from the seed alone.  run_suite
-refuses more than budget.SUITE_CASE_CAP cases (budget.WILSON_CASE_CAP for
-wilson) with CapacityError before any case is drawn.
+refuses more than budget.SUITE_CASE_CAP cases, for every suite, with
+CapacityError before any case is drawn or any prime is sieved.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def random_even_factor_lists(n_cases: int, seed: int) -> list[tuple[int, ...]]:
 
     Per case: draw k = randint(1, 4), then k choices from
     (2, 4, 6, 8, 10, 12, 16, 20).  Products never exceed 20**4 = 160000,
-    which is inside the quotient enumeration cap of 2**18.
+    which is inside the group enumeration cap of 2**22.
     """
     rng = random.Random(seed)
     out = []
@@ -154,11 +154,7 @@ def run_sum_elements_suite(n_cases: int, seed: int) -> SuiteResult:
         if rank2(G).rank == 1:
             torsion = two_torsion_subgroup(G)
             nontrivial = [e for e in torsion if any(e)]
-            ok = (
-                len(torsion) == 2
-                and element_order(G, a) == 2
-                and a == nontrivial[0]
-            )
+            ok = len(torsion) == 2 and element_order(G, a) == 2 and nontrivial == [a]
         else:
             ok = not any(a)
         outcomes.append((ok, f"orders={orders}"))
@@ -201,9 +197,9 @@ def run_euler_suite(n_cases: int, seed: int) -> SuiteResult:
 def run_wilson_suite(n_cases: int, seed: int) -> SuiteResult:
     """Suite ``wilson``: (p-1)! = -1 mod p for the first n odd primes.
 
-    The primes are sieved only up to the largest p whose (p-1)! is within
-    the factorial loop cap; budget.WILSON_CASE_CAP counts the odd primes
-    below it.  One factorial_residues call serves every prime, each tested once.
+    The sieve is limited to the largest p whose (p-1)! is within the factorial
+    loop cap; the SUITE_CASE_CAP-th odd prime, 1299721, is far below it.
+    One factorial_residues call serves every prime, each tested once.
     Deterministic; the seed is accepted for interface uniformity only.
     """
     primes = [
@@ -228,7 +224,7 @@ def run_suite(which: str, n_cases: int, seed: int) -> SuiteResult:
         raise DomainError(f"unknown suite {which!r}; choose from {', '.join(SUITE_NAMES)}")
     if n_cases < 1:
         raise DomainError(f"n_cases must be >= 1, got {n_cases}")
-    cap = budget.WILSON_CASE_CAP if which == "wilson" else budget.SUITE_CASE_CAP
+    cap = budget.SUITE_CASE_CAP
     if n_cases > cap:
         raise CapacityError(f"{which} suite needs {n_cases} cases, over the cap of {cap}")
     return _RUNNERS[which](n_cases, seed)

@@ -303,16 +303,10 @@ class TestLemmaSuiteCommand:
         assert main(["lemma-suite", "--which", "wilson", "--n", "26"]) == 2
         assert "only 25 are <= 101" in capsys.readouterr().err
 
-    def test_wilson_over_case_cap_exits_2_with_one_line(self, capsys):
-        assert main(["lemma-suite", "--which", "wilson", "--n", "700000"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: wilson suite needs 700000 cases, over the cap of 664578\n"
-
     @pytest.mark.parametrize(
         "which,generator",
         [("lemma1", "random_factor_lists"), ("lemma2", "random_even_factor_lists"),
-         ("euler", "random_euler_cases")],
+         ("euler", "random_euler_cases"), ("wilson", "first_odd_primes")],
     )
     def test_over_suite_case_cap_exits_2_with_one_line(self, which, generator, monkeypatch,
                                                        capsys):
@@ -415,8 +409,7 @@ class TestNoTraceback:
         ints = (st.sampled_from(odd_primes_up_to(60)), SMALL_INTS, EDGE_INTS)
         # --max and --n are small, or so far over their cap that they are refused unrun
         over_sweep_cap = st.integers(budget.STREAM_PRODUCT_CAP + 1, 2**70)
-        over_case_caps = st.integers(max(budget.SUITE_CASE_CAP, budget.WILSON_CASE_CAP) + 1,
-                                     2**70)
+        over_case_caps = st.integers(budget.SUITE_CASE_CAP + 1, 2**70)
         argv = data.draw(st.one_of(
             argv_for("verify", int_flag("--p", *ints), int_flag("--q", *ints), *report),
             argv_for("sweep", int_flag("--max", SMALL_INTS, over_sweep_cap), *report),

@@ -2,11 +2,14 @@
 constant of every recipro module, and every public member of an exported
 class, is used by the package or by the acceptance tests.
 
-A name counts as used when it is loaded (ast.Load, so an assignment is not
-its own use) as a Name or an Attribute in a module of the package other than
-__init__.py, or when tests/test_acceptance.py imports it.  A public method,
-property or dataclass/NamedTuple field of an exported class counts as used
-when it is read as an attribute in such a module or anywhere in
+A name counts as used when tests/test_acceptance.py imports it, or when live
+code in a module of the package other than __init__.py loads it (ast.Load,
+so an assignment is not its own use) as a Name or an Attribute.  Live code
+is every top-level statement that binds no name, plus every top-level def,
+class or assignment whose name is used; the count is repeated until no more
+definitions turn live, so a load inside dead code is not a use.  A public
+method, property or dataclass/NamedTuple field of an exported class counts as
+used when it is read as an attribute in such a module or anywhere in
 tests/test_acceptance.py.  A name or member that neither uses should be
 deleted, not kept.
 """
@@ -30,26 +33,42 @@ def package_modules():
     return [parse(path) for path in PACKAGE_DIR.glob("*.py") if path.name != "__init__.py"]
 
 
-def names_used_in_package():
+def loads(node):
+    """Names and attribute names that node loads anywhere inside it."""
     used = set()
-    for tree in package_modules():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                used.add(node.attr)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            used.add(sub.attr)
     return used
 
 
-def module_level_definitions(tree):
-    """Names that a module's own top-level def, class or assignment binds."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name
-        elif isinstance(node, ast.Assign):
-            yield from (target.id for target in node.targets if isinstance(target, ast.Name))
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            yield node.target.id
+def bound_names(node):
+    """Names that a top-level def, class or assignment binds; none for other statements."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {target.id for target in node.targets if isinstance(target, ast.Name)}
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return {node.target.id}
+    return set()
+
+
+def names_used():
+    """Names the acceptance tests import or live package code loads, to a fixpoint."""
+    used = names_imported_by_acceptance()
+    pending = []
+    for tree in package_modules():
+        for node in tree.body:
+            if names := bound_names(node):
+                pending.append((names, loads(node)))
+            else:
+                used |= loads(node)
+    while live := [loaded for names, loaded in pending if names & used]:
+        pending = [(names, loaded) for names, loaded in pending if not names & used]
+        used = used.union(*live)
+    return used
 
 
 def names_imported_by_acceptance():
@@ -78,16 +97,16 @@ def public_members(cls):
 
 
 def test_every_export_has_a_caller():
-    used = names_used_in_package() | names_imported_by_acceptance()
-    assert sorted(set(recipro.__all__) - used) == []
+    assert sorted(set(recipro.__all__) - names_used()) == []
 
 
 def test_every_public_module_level_name_has_a_caller():
-    used = names_used_in_package() | names_imported_by_acceptance()
+    used = names_used()
     unused = [
         f"{path.stem}.{name}"
         for path in sorted(PACKAGE_DIR.glob("*.py"))
-        for name in module_level_definitions(parse(path))
+        for node in parse(path).body
+        for name in bound_names(node)
         if not name.startswith("_") and name not in used
     ]
     assert unused == []

@@ -49,7 +49,11 @@ class TestEnumerated:
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            rank2_quotient_enumerated((2,) * 19)
+            rank2_quotient_enumerated((2,) * 23)
+
+    def test_counts_up_to_the_group_enumeration_cap(self):
+        # 2**19 elements, counted under the group enumeration cap of 2**22
+        assert rank2_quotient_enumerated((2,) * 19) == 18
 
     @given(even_lists)
     @settings(max_examples=60)

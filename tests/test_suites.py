@@ -1,4 +1,4 @@
-from math import isqrt, prod
+from math import prod
 
 import pytest
 
@@ -40,7 +40,7 @@ class TestGenerators:
         for orders in random_even_factor_lists(200, 2):
             assert 1 <= len(orders) <= 4
             assert all(n in EVEN_FACTOR_CHOICES for n in orders)
-            assert prod(orders) <= 1 << 18
+            assert prod(orders) <= 20**4  # 160000, the bound the generator documents
 
     def test_euler_cases_constraints(self):
         for qv, p in random_euler_cases(100, 3):
@@ -90,15 +90,17 @@ class TestRunners:
 
     def test_lemma1_fails_where_the_two_torsion_is_read(self, monkeypatch):
         # only rank-1 cases (exactly one even factor) consult the two-torsion
-        monkeypatch.setattr(
-            suites, "two_torsion_subgroup", lambda G: [(0,) * len(G.factor_orders)],
-        )
         expected = sum(
             1 for orders in random_factor_lists(200, 5)
             if sum(n % 2 == 0 for n in orders) == 1
         )
         assert 0 < expected < 200
-        assert run_suite("lemma1", 200, 5).n_fail == expected
+        # one zero tuple, then two: the right size but no nontrivial element
+        for copies in (1, 2):
+            monkeypatch.setattr(
+                suites, "two_torsion_subgroup", lambda G: [(0,) * len(G.factor_orders)] * copies,
+            )
+            assert run_suite("lemma1", 200, 5).n_fail == expected, copies
 
     def test_lemma2_includes_forced_cases(self):
         result = run_suite("lemma2", 10, 7)
@@ -162,27 +164,15 @@ class TestRunners:
         result = run_suite(which, n, seed)
         assert result.n_fail == n and len(result.failures) == min(n, 20)
 
-    def test_wilson_case_cap_counts_the_odd_primes_below_the_factorial_cap(self):
-        # one sieve to FACTORIAL_LOOP_CAP + 1, built here rather than by the library
-        n = budget.FACTORIAL_LOOP_CAP + 1
-        sieve = bytearray([1]) * (n + 1)
-        sieve[:2] = bytes(2)
-        for i in range(2, isqrt(n) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
-        assert sieve.count(1) - 1 == budget.WILSON_CASE_CAP  # less the even prime 2
-
-    def test_oversized_wilson_request_sieves_nothing(self, monkeypatch):
-        sieved = []
-        monkeypatch.setattr(suites, "first_odd_primes", lambda *args: sieved.append(args))
-        with pytest.raises(CapacityError, match="over the cap of 664578"):
-            run_suite("wilson", budget.WILSON_CASE_CAP + 1, 0)
-        assert sieved == []
+    def test_wilson_at_the_case_cap_stays_within_the_factorial_cap(self):
+        # the largest admitted wilson request never reaches the factorial cap
+        primes = first_odd_primes(budget.SUITE_CASE_CAP, budget.FACTORIAL_LOOP_CAP + 1)
+        assert primes[-1] - 1 <= budget.FACTORIAL_LOOP_CAP
 
     @pytest.mark.parametrize(
         "which,generator",
         [("lemma1", "random_factor_lists"), ("lemma2", "random_even_factor_lists"),
-         ("euler", "random_euler_cases")],
+         ("euler", "random_euler_cases"), ("wilson", "first_odd_primes")],
     )
     def test_oversized_request_draws_nothing(self, which, generator, monkeypatch):
         drawn = []
