@@ -177,15 +177,6 @@ def verify_transversal(L: Transversal) -> bool:
     )
 
 
-def _residue_sign(r: int, m: int) -> int | None:
-    """+1 for residue 1, -1 for residue m-1, None for anything else."""
-    if r == 1:
-        return 1
-    if r == m - 1:
-        return -1
-    return None
-
-
 def predicted_symbol_relation(p: int, q: int, rank: int) -> int:
     """+1 when (q/p) and (p/q) must agree, -1 when they must be opposite.
 
@@ -226,9 +217,9 @@ def verify_pair(p: int, q: int) -> PairVerdict:
       Legendre closed form, coordinatewise and exactly;
     * ``transversal_valid`` -- the mask the product read marks exactly one
       k per coset of Gamma (checked for every pair);
-    * ``rank_sign_dichotomy`` -- the product's coordinates are both signs
-      (1 or -1 residues), equal when the quotient rank is 2 and opposite
-      when it is 1; any non-sign residue fails the check outright;
+    * ``rank_sign_dichotomy`` -- the product lies in Gamma, {(1, 1),
+      (p-1, q-1)} in residues, when the quotient rank is 2 and in its
+      order-2 coset {(1, q-1), (p-1, 1)} when it is 1;
     * ``relation_matches_symbols`` -- the relation predicted from the rank
       and the residues of p, q mod 4 holds between the computed symbols;
     * ``qr_identity`` -- the reciprocity identity for the pair.
@@ -251,14 +242,10 @@ def verify_pair(p: int, q: int) -> PairVerdict:
     checks: dict[str, bool] = {}
     checks["product_matches_closed_form"] = product == closed
     checks["transversal_valid"] = verify_transversal(L)
-    sp = _residue_sign(product.a, p)
-    sq = _residue_sign(product.b, q)
-    if sp is None or sq is None:
-        checks["rank_sign_dichotomy"] = False
-    elif rank > 1:
-        checks["rank_sign_dichotomy"] = sp == sq
+    if rank > 1:
+        checks["rank_sign_dichotomy"] = product in ((1, 1), (p - 1, q - 1))
     else:
-        checks["rank_sign_dichotomy"] = sp == -sq
+        checks["rank_sign_dichotomy"] = product in ((1, q - 1), (p - 1, 1))
     checks["relation_matches_symbols"] = leg_qp == predicted * leg_pq
     checks["qr_identity"] = qr_holds
 

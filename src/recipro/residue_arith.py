@@ -18,7 +18,7 @@ from math import isqrt, log, prod
 from typing import Iterable
 
 from . import budget
-from .errors import CapacityError, DomainError, InternalCheckError
+from .errors import DomainError, InternalCheckError
 
 _INT64_LIMIT = 1 << 64
 
@@ -202,20 +202,14 @@ def odd_primes_up_to(n: int) -> list[int]:
     return list(compress(range(3, n + 1, 2), sieve[3::2]))
 
 
-def first_odd_primes(count: int, limit: int) -> list[int]:
-    """The first `count` odd primes, ascending, from one sieve up to at most limit.
+def first_odd_primes(count: int) -> list[int]:
+    """The first `count` odd primes, ascending, from one sieve up to Rosser's bound.
 
-    The sieve stops at Rosser's bound on the prime that is needed.  Raises
-    CapacityError when fewer than `count` odd primes are <= limit.
+    The sieve has no cap of its own; callers bound `count`.
     """
     if count < 0:
         raise DomainError(f"count must be nonnegative, got {count}")
     n = count + 1  # the last one needed is the n-th prime, 2 being skipped
     # Rosser: p_n < n (ln n + ln ln n) for n >= 6; below that p_n <= p_5 = 11
     bound = int(n * (log(n) + log(log(n)))) + 1 if n >= 6 else 11
-    primes = odd_primes_up_to(min(bound, limit))
-    if len(primes) < count:
-        raise CapacityError(
-            f"{count} odd primes requested, only {len(primes)} are <= {limit}"
-        )
-    return primes[:count]
+    return odd_primes_up_to(bound)[:count]

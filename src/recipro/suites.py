@@ -197,14 +197,12 @@ def run_euler_suite(n_cases: int, seed: int) -> SuiteResult:
 def run_wilson_suite(n_cases: int, seed: int) -> SuiteResult:
     """Suite ``wilson``: (p-1)! = -1 mod p for the first n odd primes.
 
-    The sieve is limited to the largest p whose (p-1)! is within the factorial
-    loop cap; the SUITE_CASE_CAP-th odd prime, 1299721, is far below it.
-    One factorial_residues call serves every prime, each tested once.
-    Deterministic; the seed is accepted for interface uniformity only.
+    One factorial_residues call serves every prime, each tested once, and
+    checks the factorial loop cap; the SUITE_CASE_CAP-th odd prime, 1299721,
+    is far below it.  Deterministic; the seed is accepted for interface
+    uniformity only.
     """
-    primes = [
-        validate_odd_prime(p) for p in first_odd_primes(n_cases, budget.FACTORIAL_LOOP_CAP + 1)
-    ]
+    primes = [validate_odd_prime(p) for p in first_odd_primes(n_cases)]
     residues = factorial_residues([(p - 1, p) for p in primes])
     outcomes = [(r == p - 1, f"p={p}") for p, r in zip(primes, residues)]
     return _tally("wilson", outcomes)

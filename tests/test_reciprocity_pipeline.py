@@ -298,8 +298,38 @@ class TestVerifyPair:
     def test_sign_dichotomy_small_sweep(self):
         for p, q in SMALL_PAIRS:
             v = verify_pair(p, q)
+            assert v.product_L.a in (1, p - 1) and v.product_L.b in (1, q - 1), (p, q)
             signs = (1 if v.product_L.a == 1 else -1) * (1 if v.product_L.b == 1 else -1)
             assert signs == (1 if v.rank == 2 else -1), (p, q)
+
+    @pytest.mark.parametrize(
+        "p,q,product,in_class",
+        [
+            # rank 2: the class is Gamma = {(1, 1), (-1, -1)}
+            (5, 13, (1, 1), True),
+            (5, 13, (4, 12), True),
+            (5, 13, (1, 12), False),
+            (5, 13, (4, 1), False),
+            (5, 13, (2, 1), False),
+            # rank 1: the class is the coset {(1, -1), (-1, 1)}
+            (7, 11, (1, 10), True),
+            (7, 11, (6, 1), True),
+            (7, 11, (1, 1), False),
+            (7, 11, (6, 10), False),
+            (7, 11, (3, 1), False),
+            # p = 3: the residue 2 is -1 mod 3 but no sign mod 7
+            (3, 7, (1, 6), True),
+            (3, 7, (2, 1), True),
+            (3, 7, (1, 1), False),
+            (3, 7, (2, 6), False),
+            (3, 7, (1, 2), False),
+        ],
+    )
+    def test_rank_sign_check_is_class_membership(self, monkeypatch, p, q, product, in_class):
+        monkeypatch.setattr(
+            reciprocity_pipeline, "product_over_transversal", lambda L: UnitPair(*product)
+        )
+        assert verify_pair(p, q).checks["rank_sign_dichotomy"] is in_class
 
     def test_transversal_validated_for_large_pairs(self):
         # the largest pairs the product cap admits are validated too

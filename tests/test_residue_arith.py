@@ -261,17 +261,15 @@ class TestPrimeListing:
         assert odd_primes_up_to(2) == odd_primes_up_to(1) == odd_primes_up_to(0) == []
 
     def test_first_odd_primes(self):
-        assert first_odd_primes(5, 13) == [3, 5, 7, 11, 13]
-        assert first_odd_primes(0, 13) == []
-        assert first_odd_primes(20, 1000) == odd_primes_up_to(73)
-        with pytest.raises(CapacityError):
-            first_odd_primes(6, 16)
+        assert first_odd_primes(5) == [3, 5, 7, 11, 13]
+        assert first_odd_primes(0) == []
+        assert first_odd_primes(20) == odd_primes_up_to(73)
 
     def test_first_odd_primes_reach_past_the_rosser_threshold(self):
         # counts below 5 use the fixed bound 11; from 5 on, Rosser's bound on p_(count+1)
         primes = odd_primes_up_to(20_000)
         for count in range(400):
-            assert first_odd_primes(count, 10**6) == primes[:count], count
+            assert first_odd_primes(count) == primes[:count], count
 
     def test_first_odd_primes_sieves_once(self, monkeypatch):
         bounds = []
@@ -279,9 +277,9 @@ class TestPrimeListing:
         monkeypatch.setattr(
             residue_arith, "odd_primes_up_to", lambda n: bounds.append(n) or sieve(n)
         )
-        assert first_odd_primes(1000, 10**7)[-1] == 7927  # p_1001
-        assert first_odd_primes(25, 101)[-1] == 101
-        assert len(bounds) == 2 and bounds[0] < 10**4 and bounds[1] == 101
+        assert first_odd_primes(1000)[-1] == 7927  # p_1001
+        assert first_odd_primes(25)[-1] == 101  # p_26
+        assert len(bounds) == 2 and bounds[0] < 10**4 and bounds[1] < 200
 
     def test_sieve_matches_miller_rabin(self):
         sieved = set(odd_primes_up_to(5000))

@@ -116,8 +116,9 @@ class TestRunners:
         result = run_suite("wilson", 10, 0)
         assert result.all_pass and result.total == 10
 
-    def test_wilson_sieve_stops_at_factorial_cap(self, monkeypatch):
-        # with a cap of 100 the largest p checked is 101, the 25th odd prime
+    def test_wilson_refuses_26_primes_under_factorial_cap_of_100(self, monkeypatch):
+        # with a cap of 100 the largest p checked is 101, the 25th odd prime;
+        # the 26th, 103, needs 102! and factorial_residues refuses the batch
         monkeypatch.setattr(budget, "FACTORIAL_LOOP_CAP", 100)
         checked = []
         batched = suites.factorial_residues
@@ -128,17 +129,15 @@ class TestRunners:
         result = run_suite("wilson", 25, 0)
         assert result.all_pass and result.total == 25
         assert checked[-1] == 101
-        checked.clear()
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="factorial loop needs 102 steps"):
             run_suite("wilson", 26, 0)
-        assert checked == []
 
     @pytest.mark.parametrize("bad", [(), (3, 101, 1051, 1993)])
     def test_wilson_matches_per_case_checks(self, bad, monkeypatch):
         # the same residue fault, if any, reaches both routes: the suite's one
         # batched call and wilson_check's factorial_mod
         perturb_residues(monkeypatch, bad)
-        failures = [f"p={p}" for p in first_odd_primes(300, 2000) if not wilson_check(p)]
+        failures = [f"p={p}" for p in first_odd_primes(300) if not wilson_check(p)]
         assert len(failures) == len(bad)
         result = run_suite("wilson", 300, 0)
         assert (result.n_pass, result.failures) == (300 - len(failures), tuple(failures))
@@ -166,7 +165,7 @@ class TestRunners:
 
     def test_wilson_at_the_case_cap_stays_within_the_factorial_cap(self):
         # the largest admitted wilson request never reaches the factorial cap
-        primes = first_odd_primes(budget.SUITE_CASE_CAP, budget.FACTORIAL_LOOP_CAP + 1)
+        primes = first_odd_primes(budget.SUITE_CASE_CAP)
         assert primes[-1] - 1 <= budget.FACTORIAL_LOOP_CAP
 
     @pytest.mark.parametrize(
