@@ -122,7 +122,8 @@ def factorial_residues(points: Iterable[tuple[int, int]]) -> list[int]:
     """n! mod m for every (n, m) in points, in input order, from one running product.
 
     All points are checked before any multiplication.  Each k from 2 to the
-    largest n is multiplied once, reducing modulo the product of the moduli
+    largest n is multiplied once, two consecutive k per reduction (an odd gap
+    to the next n takes its first k alone), modulo the product of the moduli
     still pending, which every pending m divides; points are answered in
     ascending n, each m then leaving the product.
     """
@@ -141,9 +142,13 @@ def factorial_residues(points: Iterable[tuple[int, int]]) -> list[int]:
     acc = done = 1  # acc = done! mod pending
     for i in sorted(range(len(points)), key=lambda i: points[i][0]):
         n, m = points[i]
-        for k in range(done + 1, n + 1):
-            acc = acc * k % pending
-        done = max(done, n)
+        if n > done:
+            if (n - done) % 2:
+                done += 1
+                acc = acc * done % pending
+            for k in range(done + 1, n, 2):
+                acc = acc * k * (k + 1) % pending
+            done = n
         residues[i] = acc % m
         pending //= m
     return residues
@@ -161,10 +166,14 @@ def wilson_check(p: int) -> bool:
 
 
 def _product_of_multiples(qu: int, half: int, p: int) -> int:
-    """(qu)(2 qu)...(half * qu) mod p, multiplying each multiple itself."""
-    left = 1
-    for t in range(qu, half * qu + 1, qu):
-        left = left * t % p
+    """(qu)(2 qu)...(half * qu) mod p, multiplying each multiple itself.
+
+    Two consecutive multiples t and t + qu go into each reduction; an odd
+    half starts the product from the last multiple, half * qu, alone.
+    """
+    left = half * qu % p if half % 2 else 1
+    for t in range(qu, half // 2 * 2 * qu, 2 * qu):
+        left = left * t * (t + qu) % p
     return left
 
 
@@ -184,8 +193,9 @@ def euler_criterion_check(q: int, p: int) -> bool:
     """Check (q)(2q)...((p-1)/2 * q) = (q/p) * ((p-1)/2)!  (mod p).
 
     Both sides are computed independently: the left by multiplying the
-    multiples of q one by one, the right from one Euler-criterion power
-    (euler_symbol) and factorial_mod.  p is tested for primality once.
+    multiples of q themselves, two per reduction, the right from one
+    Euler-criterion power (euler_symbol) and factorial_mod.  p is tested for
+    primality once.
     """
     p = validate_odd_prime(p)
     return _euler_identity(q, p, factorial_mod((p - 1) // 2, p))

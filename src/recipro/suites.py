@@ -181,15 +181,15 @@ def run_quotient_rank_suite(n_cases: int, seed: int) -> SuiteResult:
 def run_euler_suite(n_cases: int, seed: int) -> SuiteResult:
     """Suite ``euler``: the multiple-product identity on random (q, p).
 
-    One factorial_residues call serves every distinct p; each case is
-    otherwise checked as euler_criterion_check does, p tested once.
+    Each distinct p is tested for primality once, in order of first
+    appearance, before one factorial_residues call serves them all; each case
+    is otherwise checked as euler_criterion_check does.
     """
     cases = random_euler_cases(n_cases, seed)
-    primes = list({p for _, p in cases})
+    primes = [validate_odd_prime(p) for p in dict.fromkeys(p for _, p in cases)]
     half_factorials = dict(zip(primes, factorial_residues([((p - 1) // 2, p) for p in primes])))
     outcomes = [
-        (_euler_identity(qv, validate_odd_prime(p), half_factorials[p]), f"q={qv} p={p}")
-        for qv, p in cases
+        (_euler_identity(qv, p, half_factorials[p]), f"q={qv} p={p}") for qv, p in cases
     ]
     return _tally("euler", outcomes)
 

@@ -152,9 +152,11 @@ def watch_moduli(points):
 class TestFactorialResidues:
     @given(st.lists(st.tuples(st.integers(0, 40), st.integers(2, 60)), max_size=12))
     @example([(5, 6), (0, 2), (5, 6), (1, 9), (3, 4), (1, 2), (7, 2)])
+    @example([(2, 3), (4, 5), (7, 11), (8, 13)])
     @settings(max_examples=300)
     def test_matches_running_product_pointwise(self, points):
-        # unsorted and repeated n, n in {0, 1}, m = 2, repeated and composite moduli
+        # unsorted and repeated n, n in {0, 1}, m = 2, repeated and composite moduli;
+        # gaps of 1, 2 and 3 from one answered n to the next
         watched, divided_out = watch_moduli(points)
         assert factorial_residues(watched) == [
             factorial_by_running_product(n, m) for n, m in points
@@ -238,6 +240,15 @@ class TestEulerCriterionCheck:
         assert residue_arith._product_of_multiples(q % p, half, p) == (
             multiples_by_running_term(q, p)
         )
+
+    def test_paired_multiples_match_running_term_for_every_unit(self):
+        # p = 3 has half = 1, the odd tail alone; both parities of half occur
+        for p in odd_primes_up_to(199):
+            half = (p - 1) // 2
+            for qu in range(1, p):
+                assert residue_arith._product_of_multiples(qu, half, p) == (
+                    multiples_by_running_term(qu, p)
+                ), (qu, p)
 
     def test_tests_primality_once(self, monkeypatch):
         calls = []

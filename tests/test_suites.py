@@ -112,6 +112,23 @@ class TestRunners:
     def test_euler(self):
         assert run_suite("euler", 20, 1).all_pass
 
+    def test_euler_tests_each_distinct_prime_once(self, monkeypatch):
+        calls = []
+        original = residue_arith.is_prime
+        monkeypatch.setattr(residue_arith, "is_prime", lambda n: calls.append(n) or original(n))
+        assert run_suite("euler", 500, 1).all_pass
+        assert calls == list(dict.fromkeys(p for _, p in random_euler_cases(500, 1)))
+
+    def test_euler_composite_p_raises_before_any_factorial(self, monkeypatch):
+        factorials = []
+        monkeypatch.setattr(suites, "random_euler_cases", lambda n_cases, seed: [(5, 9)])
+        monkeypatch.setattr(
+            suites, "factorial_residues", lambda points: factorials.append(points) or [],
+        )
+        with pytest.raises(DomainError, match="^9 is not prime$"):
+            run_suite("euler", 1, 0)
+        assert factorials == []
+
     def test_wilson(self):
         result = run_suite("wilson", 10, 0)
         assert result.all_pass and result.total == 10
