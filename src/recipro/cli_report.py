@@ -13,6 +13,12 @@ metadata, built from the parsed arguments, holds the only timestamp:
 '#'-prefixed comment lines in CSV, the "meta" object in JSON.  The report
 body (CSV header plus data rows; JSON "rows" and "summary") never varies
 between identical runs.  Each row is a dict keyed in SWEEP_FIELDS order.
+
+The argument parser is built once per process and shared.  Parsing keeps no
+per-call state: every call gets a fresh namespace, and each subcommand's
+function looks up its workers when it runs, so repeated and concurrent
+in-process calls to :func:`main` are safe (concurrent calls still need
+distinct --out paths).
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
 import json
 import os
 import stat
@@ -189,7 +196,13 @@ def cmd_legendre(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``recipro`` argument parser, built on first use.
+
+    The same parser is returned for the life of the process; callers must
+    not mutate it (add arguments, change defaults, or set attributes).
+    """
     parser = argparse.ArgumentParser(
         prog="recipro",
         description="verify quadratic reciprocity through exact group-theoretic identities",
@@ -227,6 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand on `argv` (default ``sys.argv[1:]``); return its exit code.
+
+    0 means every check passed, 1 that at least one verification failed, and
+    2 an invalid invocation or an I/O error on the report file, reported as
+    one ``error:`` line on stderr.  An argparse usage error (a missing or
+    malformed flag) and ``--help`` are not returned: in process they raise
+    ``SystemExit(2)`` and ``SystemExit(0)``, and the console script exits
+    with that status.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

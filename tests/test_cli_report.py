@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from recipro import DomainError, UnitPair, __version__, budget, odd_primes_up_to, suites
-from recipro.cli_report import SWEEP_FIELDS, main
+from recipro.cli_report import SWEEP_FIELDS, build_parser, main
 from recipro.reciprocity_pipeline import PairVerdict
 
 EXPECTED_HEADER = (
@@ -32,6 +32,17 @@ def run_cli(*args, env=None):
 
 def csv_body(text):
     return [line for line in text.splitlines() if not line.startswith("#")]
+
+
+def failed_verdict(p, q):
+    """A stand-in for verify_pair: theory guarantees no real pair fails, so
+    a stub is the only way to exercise exit 1."""
+    return PairVerdict(
+        p=p, q=q, rank=1,
+        product_L=UnitPair(1, 1), closed_form=UnitPair(1, 1),
+        legendre_qp=1, legendre_pq=1, predicted_relation=1,
+        qr_identity_holds=False, checks={"qr_identity": False},
+    )
 
 
 class TestVerifyCommand:
@@ -71,16 +82,7 @@ class TestVerifyCommand:
         assert "cap" in result.stderr
 
     def test_failed_verdict_exits_1(self, monkeypatch, capsys):
-        # theory guarantees no real pair fails, so stub one to exercise exit 1
-        def fake_verify_pair(p, q):
-            return PairVerdict(
-                p=p, q=q, rank=1,
-                product_L=UnitPair(1, 1), closed_form=UnitPair(1, 1),
-                legendre_qp=1, legendre_pq=1, predicted_relation=1,
-                qr_identity_holds=False, checks={"qr_identity": False},
-            )
-
-        monkeypatch.setattr("recipro.cli_report.verify_pair", fake_verify_pair)
+        monkeypatch.setattr("recipro.cli_report.verify_pair", failed_verdict)
         assert main(["verify", "--p", "3", "--q", "5"]) == 1
         out = capsys.readouterr().out
         assert "false" in out
@@ -373,6 +375,80 @@ class TestReportMetadata:
         meta = json.loads(capsys.readouterr().out)["meta"]
         assert list(meta.items())[:-1] == [*expected, ("format", "json")]
         assert list(meta)[-1] == "generated_at"
+
+
+class TestSharedParser:
+    """main parses every call with one parser, built once per process; no
+    call's flags, defaults or errors carry over to the next call."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_format_does_not_carry_over(self, capsys):
+        assert main(["verify", "--p", "3", "--q", "7", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["meta"]["format"] == "json"
+        assert main(["verify", "--p", "3", "--q", "7"]) == 0
+        out = capsys.readouterr().out
+        assert "# format: csv" in out.splitlines()
+        assert csv_body(out)[0] == EXPECTED_HEADER
+
+    def test_seed_does_not_carry_over(self, capsys):
+        assert main(["sweep", "--max", "20", "--seed", "5"]) == 0
+        assert "# seed: 5" in capsys.readouterr().out.splitlines()
+        assert main(["sweep", "--max", "20"]) == 0
+        assert "# seed: 0" in capsys.readouterr().out.splitlines()
+
+    def test_usage_error_leaves_next_call_intact(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--p", "3"])
+        assert exc.value.code == 2
+        assert "--q" in capsys.readouterr().err
+        assert main(["verify", "--p", "3", "--q", "5"]) == 0
+        cold = run_cli("verify", "--p", "3", "--q", "5")
+        assert cold.returncode == 0
+        assert csv_body(capsys.readouterr().out) == csv_body(cold.stdout)
+
+
+def failed_suite(which, n, seed):
+    return suites.SuiteResult(which, n - 1, 1, ("stubbed case",))
+
+
+class TestLateBinding:
+    """A subcommand looks up its worker when it runs, not when the shared
+    parser is built, so a worker replaced after the first call is the one used."""
+
+    def test_verify_pair_replaced_after_first_call(self, monkeypatch, capsys):
+        assert main(["verify", "--p", "3", "--q", "5"]) == 0
+        monkeypatch.setattr("recipro.cli_report.verify_pair", failed_verdict)
+        assert main(["verify", "--p", "3", "--q", "5"]) == 1
+        assert csv_body(capsys.readouterr().out)[-1].endswith(",false")
+
+    def test_run_suite_replaced_after_first_call(self, monkeypatch, capsys):
+        assert main(["lemma-suite", "--which", "wilson", "--n", "5"]) == 0
+        monkeypatch.setattr("recipro.cli_report.run_suite", failed_suite)
+        assert main(["lemma-suite", "--which", "wilson", "--n", "5"]) == 1
+        assert "FAIL stubbed case" in capsys.readouterr().out.splitlines()
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        "argv,names",
+        [(["--help"], ["verify", "sweep", "lemma-suite", "legendre"]),
+         (["verify", "--help"], ["--p", "--q", "--format", "--out", "--seed"])],
+        ids=["recipro", "verify"],
+    )
+    def test_help_exits_0_from_the_shared_parser(self, argv, names, capsys):
+        assert main(["legendre", "--a", "5", "--p", "7"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        # each name starts a line of the listing: a subcommand or a flag
+        listed = {line.split()[0] for line in out.splitlines() if line.startswith("  ")}
+        for name in names:
+            assert name in listed, out
 
 
 # Values no int flag parses, and ints either side of the 64-bit range is_prime accepts.
