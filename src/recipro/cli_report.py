@@ -17,8 +17,7 @@ between identical runs.  Each row is a dict keyed in SWEEP_FIELDS order.
 The argument parser is built once per process and shared.  Parsing keeps no
 per-call state: every call gets a fresh namespace, and each subcommand's
 function looks up its workers when it runs, so repeated and concurrent
-in-process calls to :func:`main` are safe (concurrent calls still need
-distinct --out paths).
+in-process calls to :func:`main` are safe.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ import json
 import os
 import stat
 import sys
+import threading
 from datetime import datetime, timezone
 from typing import Iterator, Sequence, TextIO
 
@@ -93,13 +93,14 @@ def render_json(meta: Meta, rows: list[dict], summary: dict) -> str:
 def _report_stream(out: str | None) -> Iterator[TextIO]:
     """Stdout, or the file `out` names once symlinks are resolved.
 
-    A regular or new file is written to a temp file beside it that replaces
-    it once complete; a device or FIFO is written in place, never replaced.
-    The stream is opened on entry, before the caller verifies anything, so a
-    bad destination fails fast; on any error the temp file is removed, so no
-    run leaves a partial report behind.  Every OSError from the stat to the
-    final replace, the caller's writes included, is re-raised naming `out`
-    as given, never the temp file.
+    A regular or new file is written to a temp file beside it, named for
+    this process and thread, that replaces it once complete; a device or
+    FIFO is written in place, never replaced.  The stream is opened on
+    entry, before the caller verifies anything, so a bad destination fails
+    fast; on any error the temp file is removed, so no run leaves a partial
+    report behind.  Every OSError from the stat to the final replace, the
+    caller's writes included, is re-raised naming `out` as given, never the
+    temp file.
     """
     if out is None:
         yield sys.stdout
@@ -120,7 +121,8 @@ def _report_stream(out: str | None) -> Iterator[TextIO]:
                 yield handle
             return
         dest = os.path.realpath(out)
-        with open(f"{dest}.{os.getpid()}.tmp", "x", encoding="utf-8", newline="\n") as handle:
+        tmp_name = f"{dest}.{os.getpid()}.{threading.get_ident()}.tmp"
+        with open(tmp_name, "x", encoding="utf-8", newline="\n") as handle:
             tmp = handle.name
             yield handle
         os.replace(tmp, dest)

@@ -6,18 +6,18 @@ Gamma = {(1,1), (-1,-1)} has a canonical set of coset representatives:
     (k mod p, k mod q)  for 0 < k < pq/2 with p and q both not dividing k.
 
 verify_pair runs the whole chain for one pair: it takes the coordinatewise
-product of those representatives (read off a keep-mask over k, counting how
-many kept k fall in each residue class and raising the product of the
-classes that share a count to that count once, so every k is read once per
-modulus and no closed form enters), checks on that same mask that the
-marked k are one representative per coset, compares the product exactly
-against a closed form built from Legendre symbols, checks that the product
-sits inside Gamma or in the order-2 coset {(1,-1), (-1,1)} according to the
-2-rank of the quotient, derives from that the predicted relation between
-(q/p) and (p/q), and cross-checks the reciprocity identity with the same
-two symbols.  p and q are validated once, when the transversal is built;
-each symbol is one Euler-criterion power.  The public closed_form_product
-validates its own arguments and shares the same helper.
+product of those representatives (read off a keep-mask over k: the mask's
+rows are summed as byte fields to count the kept k in each residue class,
+and the residues that share a count are raised to it once, so every k is
+read once per modulus and no closed form enters), checks on that same mask
+that the marked k are one representative per coset, compares the product
+exactly against a closed form built from Legendre symbols, checks that the
+product sits inside Gamma or in the order-2 coset {(1,-1), (-1,1)}
+according to the 2-rank of the quotient, derives from that the predicted
+relation between (q/p) and (p/q), and cross-checks the reciprocity identity
+with the same two symbols.  p and q are validated once, when the
+transversal is built; each symbol is one Euler-criterion power.  The public
+closed_form_product validates its own arguments and shares the same helper.
 All named checks are recorded; a failure never aborts the remaining checks.
 
 Pure functions throughout; sweeps over many pairs may run concurrently.
@@ -26,7 +26,7 @@ Pure functions throughout; sweeps over many pairs may run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from . import budget
@@ -93,33 +93,31 @@ def build_transversal(p: int, q: int) -> Transversal:
     return Transversal(p, q)
 
 
-# Below this many k per residue class of a modulus, slicing out the classes
-# costs more than multiplying k by k (measured crossover near pq = 2^21).
-MIN_COUNTED_CLASS = 8
-
-
 def _product_mod(keep: bytearray, m: int) -> int:
     """Product of the marked k, mod m, for any 0/1 mask over k = 0, 1, ...
 
-    Counted: with c_r marked k in the class of r, the product is
-    prod_r r^(c_r) = prod_c (prod of the r with c_r = c)^c, so the residues
-    are grouped by their count and each group is raised to it once (a
-    modulus has few distinct counts).
+    The mask is cut into at most 255 rows of width w, the least multiple of
+    m that leaves no more rows, and the rows are added as little-endian
+    ints, so byte x of the sum counts the marked k = x (mod w) and no byte
+    carries into the next.  With c_r marked k in the class of r mod m, the
+    product is prod_r r^(c_r) = prod_c (prod of the r with c_r = c)^c, so
+    each residue is multiplied into the slot of its count and each slot is
+    raised to its count once.  A marked multiple of m makes the product 0.
     """
-    if len(keep) < MIN_COUNTED_CLASS * m:
-        acc = 1
-        for k in compress(range(len(keep)), keep):
-            acc = acc * k % m
-        return acc
-    # keep[r::m] is the class of k = r (mod m); r = 0 is included, so a
-    # marked multiple of m makes its group, and the product, 0
-    by_count: dict[int, int] = {}
-    for r in range(m):
-        c = keep[r::m].count(1)
-        by_count[c] = by_count.get(c, 1) * r % m
+    n = len(keep)
+    w = m * max(1, -(-n // (255 * m)))
+    rows = range(0, n, w)
+    view = memoryview(keep)
+    total = sum(int.from_bytes(view[i : i + w], "little") for i in rows)
+    # no class holds more marked k than there are rows
+    by_count = [1] * (len(rows) + 1)
+    residues = chain.from_iterable(repeat(range(m), w // m))
+    for r, c in zip(residues, total.to_bytes(w, "little")):
+        by_count[c] = by_count[c] * r % m
     acc = 1
-    for c, group in by_count.items():
-        acc = acc * pow(group, c, m) % m
+    for c in range(1, len(by_count)):
+        if by_count[c] != 1:
+            acc = acc * pow(by_count[c], c, m) % m
     return acc
 
 
@@ -127,11 +125,10 @@ def product_over_transversal(L: Transversal) -> UnitPair:
     """Componentwise product of all entries, read off L's mask once per modulus.
 
     The coordinate mod m is the product of r^(number of marked k = r mod m)
-    over all residues r, with every class counted from the mask and the
-    residues that share a count multiplied together before one power per
-    distinct count; when m's classes would hold fewer than MIN_COUNTED_CLASS
-    k each (a small partner prime), the marked k are multiplied one by one
-    instead.  Either way every k is read and the entries are never formed.
+    over all residues r.  Every class is counted from row sums of the mask,
+    the residues that share a count are multiplied together, and each
+    distinct count takes one power.  Every k is read; the entries are never
+    formed.
     """
     keep = L.mask()
     return UnitPair(_product_mod(keep, L.p), _product_mod(keep, L.q))

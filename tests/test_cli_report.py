@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -224,6 +225,27 @@ class TestReportFile:
         assert csv_body(out.read_text(encoding="utf-8"))[1] == (
             "3,5,3,1,1,2,1,2,1,-1,-1,equal,true,true"
         )
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_concurrent_calls_share_one_out_path(self, tmp_path, capsys):
+        # each call writes its own temp file, so neither collides with the other
+        out = tmp_path / "r.csv"
+        start = threading.Barrier(2)
+        codes = []
+
+        def run():
+            start.wait()
+            codes.append(main(["sweep", "--max", "100", "--out", str(out)]))
+
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert codes == [0, 0]
+        capsys.readouterr()
+        assert main(["sweep", "--max", "100"]) == 0
+        assert csv_body(out.read_text(encoding="utf-8")) == csv_body(capsys.readouterr().out)
         assert list(tmp_path.iterdir()) == [out]
 
     def test_symlink_destination_stays_a_symlink(self, tmp_path):

@@ -1,5 +1,8 @@
+import random
+from itertools import compress
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recipro import (
@@ -16,7 +19,7 @@ from recipro import (
     verify_transversal,
 )
 from recipro import reciprocity_pipeline, residue_arith
-from recipro.reciprocity_pipeline import MIN_COUNTED_CLASS, _product_mod
+from recipro.reciprocity_pipeline import _product_mod
 from _oracles import crt_transversal_ok, streamed_product
 
 SMALL_PAIRS = [
@@ -31,6 +34,10 @@ SWEEP_200_PAIRS = [
     for i, p in enumerate(odd_primes_up_to(200))
     for q in odd_primes_up_to(200)[i + 1 :]
 ]
+
+
+# maps each byte to its lowest bit
+LOW_BIT = bytes(b & 1 for b in range(256))
 
 
 def marked_ks(L):
@@ -148,12 +155,14 @@ class TestProduct:
     @pytest.mark.parametrize(
         "p,q",
         [(3, 5), (7, 11), (13, 19), (31, 37), (449, 457), (1021, 2053),
-         (3, 199), (13, 1009), (17, 1009)],
+         (3, 199), (13, 1009), (17, 1009), (17, 123341), (5, 419429)],
     )
     def test_matches_streamed_oracle(self, p, q):
-        # (1021, 2053) is just under the product cap.  In the last three
-        # the classes mod 3 and mod 13 are counted while mod q, with classes
-        # of p/2 < 8 k, the k are multiplied one by one; at 17 both are counted
+        # Each shape of the row sums: rows of width m while pq/2 stays under
+        # 255m (both moduli up to (449, 457), and mod q from (3, 199) on,
+        # 9 rows of q in (17, 123341) and 3 in (5, 419429)); 255 or fewer
+        # wider rows past it (mod p from (13, 1009) on, and mod both in
+        # (1021, 2053), just under the product cap)
         assert product_over_transversal(build_transversal(p, q)) == streamed_product(p, q)
 
     @pytest.mark.parametrize("p,q", [(7, 11), (3, 199), (13, 1009), (17, 1009)])
@@ -170,21 +179,34 @@ class TestProduct:
         assert product_over_transversal(build_transversal(p, q)) == UnitPair(0, 0)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_grouped_product_on_any_mask(self, data):
-        # grouping by count must hold for any 0/1 mask, not just a transversal's
-        m = data.draw(st.sampled_from([3, 5, 7, 11, 13]), label="m")
-        counted = data.draw(st.booleans(), label="counted")
-        threshold = MIN_COUNTED_CLASS * m
-        n = data.draw(
-            st.integers(threshold, 3 * threshold) if counted else st.integers(0, threshold - 1),
-            label="len",
-        )
-        keep = bytearray(data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
+    @given(
+        m=st.sampled_from([3, 5, 7, 11, 13, 1009]),
+        rows=st.integers(0, 3 * 255),
+        extra=st.integers(0, 1008),
+        seed=st.none() | st.integers(0, 2**32 - 1),
+        units_only=st.booleans(),
+    )
+    # all ones, at the longest mask of 255 rows of m and one k past it,
+    # where a 256th row would carry out of the byte of residue 0
+    @example(m=3, rows=255, extra=0, seed=None, units_only=False)
+    @example(m=3, rows=255, extra=1, seed=None, units_only=False)
+    @example(m=1009, rows=255, extra=0, seed=None, units_only=False)
+    @example(m=1009, rows=255, extra=1, seed=None, units_only=False)
+    def test_grouped_product_on_any_mask(self, m, rows, extra, seed, units_only):
+        # the row sums and the grouping by count must hold for any 0/1 mask
+        # of 0 to about 3 * 255 * m bytes, not just a transversal's: rows
+        # whole rows of m plus extra % m k, every k marked when seed is None,
+        # and the multiples of m cleared when units_only
+        n = rows * m + extra % m
+        if seed is None:
+            keep = bytearray([1]) * n
+        else:
+            keep = bytearray(random.Random(seed).randbytes(n).translate(LOW_BIT))
+        if units_only:
+            keep[::m] = bytes(len(keep[::m]))
         expected = 1
-        for k in range(n):
-            if keep[k]:
-                expected = expected * k % m
+        for k in compress(range(n), keep):
+            expected = expected * k % m
         got = _product_mod(keep, m)
         assert got == expected
         if any(keep[::m]):
