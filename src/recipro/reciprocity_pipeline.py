@@ -6,19 +6,21 @@ Gamma = {(1,1), (-1,-1)} has a canonical set of coset representatives:
     (k mod p, k mod q)  for 0 < k < pq/2 with p and q both not dividing k.
 
 verify_pair runs the whole chain for one pair: it takes the coordinatewise
-product of those representatives (read off a keep-mask over k: the mask's
-rows are summed as byte fields to count the kept k in each residue class,
-and the residues that share a count are raised to it once, so every k is
-read once per modulus and no closed form enters), checks on that same mask
-that the marked k are one representative per coset, compares the product
-exactly against a closed form built from Legendre symbols, checks that the
-product sits inside Gamma or in the order-2 coset {(1,-1), (-1,1)}
-according to the 2-rank of the quotient, derives from that the predicted
-relation between (q/p) and (p/q), and cross-checks the reciprocity identity
-with the same two symbols.  p and q are validated once, when the
-transversal is built; each symbol is one Euler-criterion power.  The public
-closed_form_product validates its own arguments and shares the same helper.
-All named checks are recorded; a failure never aborts the remaining checks.
+product of those representatives (read off a keep-mask over k: the mask
+is read in bands of whole rows, at most 4 KB each, the bands are summed as
+byte fields, and the sum is folded in halves at row boundaries down to one
+row that counts the kept k in each residue class; the residues that share
+a count are raised to it once, so every k is read once per modulus and no
+closed form enters), checks on that same mask that the marked k are one
+representative per coset, compares the product exactly against a closed
+form built from Legendre symbols, checks that the product sits inside Gamma
+or in the order-2 coset {(1,-1), (-1,1)} according to the 2-rank of the
+quotient, derives from that the predicted relation between (q/p) and
+(p/q), and cross-checks the reciprocity identity with the same two symbols.
+p and q are validated once, when the transversal is built; each symbol is
+one Euler-criterion power.  The public closed_form_product validates its
+own arguments and shares the same helper.  All named checks are recorded;
+a failure never aborts the remaining checks.
 
 Pure functions throughout; sweeps over many pairs may run concurrently.
 """
@@ -36,6 +38,10 @@ from .residue_arith import euler_symbol, validate_odd_prime
 
 RELATION_EQUAL = 1
 RELATION_OPPOSITE = -1
+
+# int.from_bytes costs least per byte on reads of about 4-20 KB; a band of
+# rows up to this long also keeps each halving of the band sum cheap.
+_BAND_BYTES = 4096
 
 
 class UnitPair(NamedTuple):
@@ -97,20 +103,29 @@ def _product_mod(keep: bytearray, m: int) -> int:
     """Product of the marked k, mod m, for any 0/1 mask over k = 0, 1, ...
 
     The mask is cut into at most 255 rows of width w, the least multiple of
-    m that leaves no more rows, and the rows are added as little-endian
-    ints, so byte x of the sum counts the marked k = x (mod w) and no byte
-    carries into the next.  With c_r marked k in the class of r mod m, the
-    product is prod_r r^(c_r) = prod_c (prod of the r with c_r = c)^c, so
-    each residue is multiplied into the slot of its count and each slot is
-    raised to its count once.  A marked multiple of m makes the product 0.
+    m that leaves no more rows.  It is read in bands of whole rows, at most
+    _BAND_BYTES long (one row when w is wider), and the bands are added as
+    little-endian ints.  The band sum is then halved at a row boundary,
+    its upper rows added onto its lower ones, until one row is left, so
+    byte x of that row counts the marked k = x (mod w).  Each byte only
+    ever sums the bytes of distinct rows, so no byte carries into the
+    next.  With c_r marked k in the class of r mod m, the product is
+    prod_r r^(c_r) = prod_c (prod of the r with c_r = c)^c, so each residue
+    is multiplied into the slot of its count and each slot is raised to its
+    count once.  A marked multiple of m makes the product 0.
     """
     n = len(keep)
     w = m * max(1, -(-n // (255 * m)))
-    rows = range(0, n, w)
+    rows = -(-n // w)
+    band = max(1, min(rows, _BAND_BYTES // w))
+    step = band * w
     view = memoryview(keep)
-    total = sum(int.from_bytes(view[i : i + w], "little") for i in rows)
+    total = sum(int.from_bytes(view[i : i + step], "little") for i in range(0, n, step))
+    while band > 1:
+        band = -(-band // 2)
+        total = (total & ((1 << 8 * w * band) - 1)) + (total >> 8 * w * band)
     # no class holds more marked k than there are rows
-    by_count = [1] * (len(rows) + 1)
+    by_count = [1] * (rows + 1)
     residues = chain.from_iterable(repeat(range(m), w // m))
     for r, c in zip(residues, total.to_bytes(w, "little")):
         by_count[c] = by_count[c] * r % m
@@ -125,10 +140,10 @@ def product_over_transversal(L: Transversal) -> UnitPair:
     """Componentwise product of all entries, read off L's mask once per modulus.
 
     The coordinate mod m is the product of r^(number of marked k = r mod m)
-    over all residues r.  Every class is counted from row sums of the mask,
-    the residues that share a count are multiplied together, and each
-    distinct count takes one power.  Every k is read; the entries are never
-    formed.
+    over all residues r.  Every class is counted from banded, folded row
+    sums of the mask, the residues that share a count are multiplied
+    together, and each distinct count takes one power.  Every k is read;
+    the entries are never formed.
     """
     keep = L.mask()
     return UnitPair(_product_mod(keep, L.p), _product_mod(keep, L.q))

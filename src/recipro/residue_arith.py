@@ -43,6 +43,10 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    # a composite below 41^2 has a prime factor of at most 37, and every
+    # prime up to 37 is a witness, so trial division has decided n already
+    if n < 41 * 41:
+        return True
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r

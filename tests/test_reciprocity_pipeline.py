@@ -155,13 +155,18 @@ class TestProduct:
     @pytest.mark.parametrize(
         "p,q",
         [(3, 5), (7, 11), (13, 19), (31, 37), (449, 457), (1021, 2053),
-         (3, 199), (13, 1009), (17, 1009), (17, 123341), (5, 419429)],
+         (3, 199), (197, 199), (13, 1009), (17, 1009), (17, 123341), (5, 419429)],
     )
     def test_matches_streamed_oracle(self, p, q):
-        # Each shape of the row sums: rows of width m while pq/2 stays under
-        # 255m (both moduli up to (449, 457), and mod q from (3, 199) on,
-        # 9 rows of q in (17, 123341) and 3 in (5, 419429)); 255 or fewer
-        # wider rows past it (mod p from (13, 1009) on, and mod both in
+        # Each shape of the bands and folds.  Rows of width m while pq/2
+        # stays under 255m: one band folded down to one row while the mask
+        # fits in 4 KB (both moduli up to (31, 37), and (3, 199)); 4 KB
+        # bands, summed and then folded, the last one partial (about 100
+        # rows per modulus in (197, 199), both moduli in (449, 457), and mod
+        # q in (13, 1009)).  255 or fewer wider rows past it: still banded
+        # while they are at most 2 KB (mod p in (13, 1009) and (17, 1009)),
+        # and one row per band with nothing folded past that (255 rows mod p
+        # and 9 of q in (17, 123341), 3 of q in (5, 419429), and mod both in
         # (1021, 2053), just under the product cap)
         assert product_over_transversal(build_transversal(p, q)) == streamed_product(p, q)
 
@@ -192,11 +197,17 @@ class TestProduct:
     @example(m=3, rows=255, extra=1, seed=None, units_only=False)
     @example(m=1009, rows=255, extra=0, seed=None, units_only=False)
     @example(m=1009, rows=255, extra=1, seed=None, units_only=False)
+    # one band of 129 rows of 7, so each fold but the last splits unevenly
+    @example(m=7, rows=129, extra=0, seed=1, units_only=True)
+    # rows of 52, bands of 78 rows, and a last band of 36
+    @example(m=13, rows=765, extra=12, seed=2, units_only=True)
+    # rows of 4036 bytes, past 2048: one row per band and nothing folded
+    @example(m=1009, rows=765, extra=1008, seed=3, units_only=True)
     def test_grouped_product_on_any_mask(self, m, rows, extra, seed, units_only):
-        # the row sums and the grouping by count must hold for any 0/1 mask
-        # of 0 to about 3 * 255 * m bytes, not just a transversal's: rows
-        # whole rows of m plus extra % m k, every k marked when seed is None,
-        # and the multiples of m cleared when units_only
+        # the bands, the folds and the grouping by count must hold for any
+        # 0/1 mask of 0 to about 3 * 255 * m bytes, not just a transversal's:
+        # rows whole rows of m plus extra % m k, every k marked when seed is
+        # None, and the multiples of m cleared when units_only
         n = rows * m + extra % m
         if seed is None:
             keep = bytearray([1]) * n
