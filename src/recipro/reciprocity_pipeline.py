@@ -5,30 +5,23 @@ Gamma = {(1,1), (-1,-1)} has a canonical set of coset representatives:
 
     (k mod p, k mod q)  for 0 < k < pq/2 with p and q both not dividing k.
 
-verify_pair runs the whole chain for one pair: it takes the coordinatewise
-product of those representatives (read off a keep-mask over k: the mask
-is read in bands of whole rows, at most 4 KB each, the bands are summed as
-byte fields, and the sum is folded in halves at row boundaries down to one
-row that counts the kept k in each residue class; the residues that share
-a count are raised to it once, so every k is read once per modulus and no
-closed form enters), checks on that same mask that the marked k are one
-representative per coset, compares the product exactly against a closed
-form built from Legendre symbols, checks that the product sits inside Gamma
-or in the order-2 coset {(1,-1), (-1,1)} according to the 2-rank of the
-quotient, derives from that the predicted relation between (q/p) and
-(p/q), and cross-checks the reciprocity identity with the same two symbols.
-p and q are validated once, when the transversal is built; each symbol is
-one Euler-criterion power.  The public closed_form_product validates its
-own arguments and shares the same helper.  All named checks are recorded;
-a failure never aborts the remaining checks.
+verify_pair runs every check for one pair: the coordinatewise product
+of those representatives, checked exactly against a closed form built from
+Legendre symbols; the validity of the representative set; the product's
+place inside Gamma or its order-2 coset according to the 2-rank of the
+quotient; the relation that rank predicts between (q/p) and (p/q); and the
+reciprocity identity for the same two symbols.  The representatives are
+described by one keep-mask over k, built once per pair when the transversal
+is built; the product counts it and the validation checks those same bytes.
+Every k is read once per modulus and no closed form enters the product.
+All named checks are recorded; a failure never aborts the remaining checks.
 
 Pure functions throughout; sweeps over many pairs may run concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain, repeat
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import budget
@@ -65,33 +58,26 @@ def _validate_pair(p: int, q: int) -> None:
 class Transversal:
     """Coset representatives (k mod p, k mod q), k ascending over (0, pq/2).
 
-    Holds only the primes; the representatives are described by a keep-mask
-    over k of pq/2 + 1 bytes, built on demand, which costs memory only while
-    it is read.  The entries themselves are never formed.  pq is capped for
-    the pass over k, after the primes are validated.
+    mask holds pq/2 + 1 bytes, built once at construction: keep[k] is 1 iff
+    p and q both do not divide k, so the marked k (never k = 0, a multiple
+    of both) are exactly the k of the representatives, which are never
+    formed.  pq is capped for the pass over k, after the primes are
+    validated and before the mask is built.
     """
 
     p: int
     q: int
+    mask: bytearray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _validate_pair(self.p, self.q)
-        budget.require_within(self.p * self.q, budget.STREAM_PRODUCT_CAP, "transversal")
-
-    def mask(self) -> bytearray:
-        """pq/2 + 1 bytes: keep[k] is 1 iff p and q both do not divide k.
-
-        Indexed by k over 0..pq//2 (k = 0 is a multiple of both, so
-        unmarked), the marked k are exactly the k of the representatives.
-        product_over_transversal counts its residue classes and
-        verify_transversal checks it; each builds its own copy.
-        """
         p, q = self.p, self.q
+        _validate_pair(p, q)
+        budget.require_within(p * q, budget.STREAM_PRODUCT_CAP, "transversal")
         half = p * q // 2
         keep = bytearray([1]) * (half + 1)
         keep[::p] = bytes(len(range(0, half + 1, p)))
         keep[::q] = bytes(len(range(0, half + 1, q)))
-        return keep
+        object.__setattr__(self, "mask", keep)
 
 
 def build_transversal(p: int, q: int) -> Transversal:
@@ -109,10 +95,11 @@ def _product_mod(keep: bytearray, m: int) -> int:
     its upper rows added onto its lower ones, until one row is left, so
     byte x of that row counts the marked k = x (mod w).  Each byte only
     ever sums the bytes of distinct rows, so no byte carries into the
-    next.  With c_r marked k in the class of r mod m, the product is
-    prod_r r^(c_r) = prod_c (prod of the r with c_r = c)^c, so each residue
-    is multiplied into the slot of its count and each slot is raised to its
-    count once.  A marked multiple of m makes the product 0.
+    next.  As m divides w, those k are all x (mod m), so the product is
+    prod_x x^(c_x) = prod_c (prod of the x with c_x = c)^c (mod m), c_x the
+    count in byte x: each x is multiplied into the slot of its count and
+    each slot is raised to its count once.  A marked multiple of m makes
+    the product 0.
     """
     n = len(keep)
     w = m * max(1, -(-n // (255 * m)))
@@ -126,9 +113,8 @@ def _product_mod(keep: bytearray, m: int) -> int:
         total = (total & ((1 << 8 * w * band) - 1)) + (total >> 8 * w * band)
     # no class holds more marked k than there are rows
     by_count = [1] * (rows + 1)
-    residues = chain.from_iterable(repeat(range(m), w // m))
-    for r, c in zip(residues, total.to_bytes(w, "little")):
-        by_count[c] = by_count[c] * r % m
+    for x, c in enumerate(total.to_bytes(w, "little")):
+        by_count[c] = by_count[c] * x % m
     acc = 1
     for c in range(1, len(by_count)):
         if by_count[c] != 1:
@@ -137,16 +123,14 @@ def _product_mod(keep: bytearray, m: int) -> int:
 
 
 def product_over_transversal(L: Transversal) -> UnitPair:
-    """Componentwise product of all entries, read off L's mask once per modulus.
+    """Componentwise product of all entries, read off L.mask once per modulus.
 
-    The coordinate mod m is the product of r^(number of marked k = r mod m)
-    over all residues r.  Every class is counted from banded, folded row
-    sums of the mask, the residues that share a count are multiplied
-    together, and each distinct count takes one power.  Every k is read;
-    the entries are never formed.
+    The mask is the one built with L, the same bytes verify_transversal
+    checks.  The coordinate mod m is the product of r^(number of marked
+    k = r mod m) over all residues r, counted by _product_mod; every k is
+    read and the entries are never formed.
     """
-    keep = L.mask()
-    return UnitPair(_product_mod(keep, L.p), _product_mod(keep, L.q))
+    return UnitPair(_product_mod(L.mask, L.p), _product_mod(L.mask, L.q))
 
 
 def _closed_form(p: int, q: int, leg_qp: int, leg_pq: int) -> UnitPair:
@@ -170,17 +154,17 @@ def _all_zero(marks: bytearray) -> bool:
 
 
 def verify_transversal(L: Transversal) -> bool:
-    """True iff L's mask marks exactly one k per coset of Gamma.
+    """True iff L.mask marks exactly one k per coset of Gamma.
 
-    Checked on the mask the product reads, with C-speed slices: it covers
+    Checked on the one mask built with L, the bytes product_over_transversal
+    counts, with C-speed slices: it covers
     k = 0..pq//2; no multiple of p and no multiple of q is marked; and
     (p-1)(q-1)/2 k are marked.  That is enough: the units mod pq come in
     pairs k, pq - k (the CRT lifts of x and -x), exactly one of each pair
     lies in (0, pq/2), so marking only units, and as many as there are
     pairs, marks every lower-half unit and hence one k per coset.
     """
-    p, q = L.p, L.q
-    keep = L.mask()
+    p, q, keep = L.p, L.q, L.mask
     return (
         len(keep) == p * q // 2 + 1
         and _all_zero(keep[::p])
@@ -221,7 +205,7 @@ class PairVerdict:
 
 
 def verify_pair(p: int, q: int) -> PairVerdict:
-    """Run the whole verification chain for one pair of distinct odd primes.
+    """Run every verification step for one pair of distinct odd primes.
 
     Named checks recorded in the verdict:
 

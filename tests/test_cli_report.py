@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import glob
 import hashlib
@@ -43,6 +44,13 @@ def failed_verdict(p, q):
         product_L=UnitPair(1, 1), closed_form=UnitPair(1, 1),
         legendre_qp=1, legendre_pq=1, predicted_relation=1,
         qr_identity_holds=False, checks={"qr_identity": False},
+    )
+
+
+def passed_verdict(p, q):
+    """A stand-in for verify_pair that passes at once, for sweeps too long to verify."""
+    return dataclasses.replace(
+        failed_verdict(p, q), qr_identity_holds=True, checks={"qr_identity": True}
     )
 
 
@@ -128,6 +136,22 @@ class TestSweepCommand:
         result = run_cli("sweep", "--max", "100000")
         assert result.returncode == 2
         assert "cap" in result.stderr
+
+    def test_largest_admitted_max_sweeps_every_pair(self, monkeypatch, capsys):
+        # 1439 * 1447 = 2082233 is the largest pair product up to 1450, within
+        # the stream cap 2**21; a passing stub stands in for the 30 s of checks
+        monkeypatch.setattr("recipro.cli_report.verify_pair", passed_verdict)
+        assert main(["sweep", "--max", "1450"]) == 0
+        body = csv_body(capsys.readouterr().out)
+        assert len(body) == 1 + 25_878
+        assert body[-1].split(",")[:2] == ["1439", "1447"]
+
+    def test_first_max_over_the_cap_exits_2_before_verifying(self, monkeypatch, capsys):
+        # 1447 * 1451 = 2099597 > 2**21
+        monkeypatch.setattr("recipro.cli_report.verify_pair", refuse_verify_pair)
+        assert main(["sweep", "--max", "1451"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "2099597" in err
 
     def test_determinism_csv(self):
         first = run_cli("sweep", "--max", "60", "--seed", "1")

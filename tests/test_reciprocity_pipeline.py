@@ -42,8 +42,7 @@ LOW_BIT = bytes(b & 1 for b in range(256))
 
 def marked_ks(L):
     """The k that L's mask marks, ascending."""
-    keep = L.mask()
-    return [k for k in range(len(keep)) if keep[k]]
+    return [k for k in range(len(L.mask)) if L.mask[k]]
 
 
 def entries(L):
@@ -94,9 +93,20 @@ MASK_FAULTS = [
 ]
 
 
-def tamper_mask(monkeypatch, tamper):
-    original = Transversal.mask
-    monkeypatch.setattr(Transversal, "mask", lambda L: tamper(original(L), L.p, L.q))
+def tamper_mask(monkeypatch, tamper, builds=None):
+    """Apply tamper to the mask of the first `builds` transversals built
+    (of every one when None), at construction, before anything reads it."""
+    original = Transversal.__post_init__
+    built = []
+
+    def tampered(L):
+        original(L)
+        built.append(L)
+        if builds is None or len(built) <= builds:
+            object.__setattr__(L, "mask", tamper(L.mask, L.p, L.q))
+
+    monkeypatch.setattr(Transversal, "__post_init__", tampered)
+    return built
 
 
 class TestBuildTransversal:
@@ -171,17 +181,11 @@ class TestProduct:
         assert product_over_transversal(build_transversal(p, q)) == streamed_product(p, q)
 
     @pytest.mark.parametrize("p,q", [(7, 11), (3, 199), (13, 1009), (17, 1009)])
-    def test_marked_multiples_zero_the_product(self, monkeypatch, p, q):
+    def test_marked_multiples_zero_the_product(self, p, q):
         # a marked multiple of p (of q) must zero coordinate a (b) on either route
-        original = Transversal.mask
-
-        def marked(L):
-            keep = original(L)
-            keep[p] = keep[q] = 1
-            return keep
-
-        monkeypatch.setattr(Transversal, "mask", marked)
-        assert product_over_transversal(build_transversal(p, q)) == UnitPair(0, 0)
+        L = build_transversal(p, q)
+        L.mask[p] = L.mask[q] = 1
+        assert product_over_transversal(L) == UnitPair(0, 0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -424,6 +428,17 @@ class TestFaultInjection:
             "transversal_valid",
             "rank_sign_dichotomy",
         }
+
+    def test_one_fault_in_the_one_mask_trips_product_and_validation(self, monkeypatch):
+        # a pair builds its mask once, so a fault in that one build reaches
+        # both the product and the validation; no clean copy is checked
+        built = tamper_mask(monkeypatch, mark_p, builds=1)
+        assert failed_checks(verify_pair(7, 11)) == {
+            "product_matches_closed_form",
+            "transversal_valid",
+            "rank_sign_dichotomy",
+        }
+        assert len(built) == 1
 
     def test_k_1_swapped_for_a_multiple_of_p(self, monkeypatch):
         # the count and length hold; only the multiples-of-p condition fails
