@@ -169,26 +169,31 @@ def wilson_check(p: int) -> bool:
     return factorial_mod(p - 1, p) == p - 1
 
 
-def _product_of_multiples(qu: int, half: int, p: int) -> int:
-    """(qu)(2 qu)...(half * qu) mod p, multiplying each multiple itself.
+def _products_of_multiples(lanes: list[tuple[int, int]]) -> list[int]:
+    """(qu)(2 qu)...((p-1)/2 * qu) mod p for each lane (qu, p), primes distinct, ascending.
 
-    Two consecutive multiples t and t + qu go into each reduction; an odd
-    half starts the product from the last multiple, half * qu, alone.
+    One step = qu (mod p) for every lane, by CRT; its multiples are multiplied
+    two per reduction modulo the primes still pending, each lane read off at
+    its half and its p then dropped, as factorial_residues does.
     """
-    left = half * qu % p if half % 2 else 1
-    for t in range(qu, half // 2 * 2 * qu, 2 * qu):
-        left = left * t * (t + qu) % p
-    return left
+    pending = prod(p for _, p in lanes)
+    step = sum(qu * (c := pending // p) * pow(c, -1, p) for qu, p in lanes) % pending
+    lefts = []
+    acc, done = 1, 0  # acc = (step)(2 step)...(done * step) mod pending
+    for _, p in lanes:
+        half = (p - 1) // 2
+        if (half - done) % 2:
+            done += 1
+            acc = acc * (done * step) % pending
+        for t in range((done + 1) * step, half * step, 2 * step):
+            acc = acc * t * (t + step) % pending
+        done = half
+        lefts.append(acc % p)
+        pending //= p
+    return lefts
 
 
-def _euler_identity(q: int, p: int, half_factorial: int) -> bool:
-    """euler_criterion_check for a validated p, given ((p-1)/2)! mod p.
-
-    The factorial's own cap check already bounds the (p-1)/2 multiples.
-    """
-    qu = _unit_mod(q, p)
-    half = (p - 1) // 2
-    left = _product_of_multiples(qu, half, p)
+def _euler_sides_agree(left: int, qu: int, p: int, half_factorial: int) -> bool:
     right = half_factorial if euler_symbol(qu, p) == 1 else (p - half_factorial) % p
     return left == right
 
@@ -202,7 +207,9 @@ def euler_criterion_check(q: int, p: int) -> bool:
     primality once.
     """
     p = validate_odd_prime(p)
-    return _euler_identity(q, p, factorial_mod((p - 1) // 2, p))
+    half_factorial = factorial_mod((p - 1) // 2, p)
+    qu = _unit_mod(q, p)
+    return _euler_sides_agree(_products_of_multiples([(qu, p)])[0], qu, p, half_factorial)
 
 
 def odd_primes_up_to(n: int) -> list[int]:

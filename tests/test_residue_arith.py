@@ -233,22 +233,39 @@ class TestEulerCriterionCheck:
 
     @given(st.sampled_from(odd_primes_up_to(2000)), st.integers(1, 10**6))
     @settings(max_examples=100)
-    def test_multiples_match_running_term(self, p, q):
+    def test_one_lane_matches_running_term(self, p, q):
         if q % p == 0:
             q += 1
-        half = (p - 1) // 2
-        assert residue_arith._product_of_multiples(q % p, half, p) == (
+        assert residue_arith._products_of_multiples([(q % p, p)]) == [
             multiples_by_running_term(q, p)
-        )
+        ]
 
-    def test_paired_multiples_match_running_term_for_every_unit(self):
+    def test_one_lane_matches_running_term_for_every_unit(self):
         # p = 3 has half = 1, the odd tail alone; both parities of half occur
         for p in odd_primes_up_to(199):
-            half = (p - 1) // 2
             for qu in range(1, p):
-                assert residue_arith._product_of_multiples(qu, half, p) == (
+                assert residue_arith._products_of_multiples([(qu, p)]) == [
                     multiples_by_running_term(qu, p)
-                ), (qu, p)
+                ], (qu, p)
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(odd_primes_up_to(2000)), st.integers(1, 10**6)),
+            min_size=1, max_size=20, unique_by=lambda lane: lane[0],
+        )
+    )
+    @example([(3, 1)])
+    @example([(3, 2), (5, 4), (7, 3), (11, 10), (1999, 12345)])
+    # halves 2, 3, 6, 9: every gap between consecutive lanes is odd
+    @example([(5, 3), (7, 5), (13, 6), (19, 16)])
+    @example([(p, p - 1) for p in odd_primes_up_to(59)])  # 16 lanes
+    @example([(p, 10**6 - p) for p in odd_primes_up_to(2000)[-16:]])
+    @settings(max_examples=100)
+    def test_lanes_match_running_term(self, primes_and_qs):
+        lanes = [(q % p or 1, p) for p, q in sorted(primes_and_qs)]
+        assert residue_arith._products_of_multiples(lanes) == [
+            multiples_by_running_term(qu, p) for qu, p in lanes
+        ]
 
     def test_tests_primality_once(self, monkeypatch):
         calls = []
@@ -257,10 +274,16 @@ class TestEulerCriterionCheck:
         assert euler_criterion_check(10, 13)
         assert calls == [13]
 
-    def test_capacity(self):
-        # 20000003 is prime and (p-1)/2 = 10000001 is one over the loop cap
+    def test_capacity(self, monkeypatch):
+        # 20000003 is prime and (p-1)/2 = 10000001 is one over the loop cap;
+        # the refusal comes before any multiple is taken
+        lanes = []
+        monkeypatch.setattr(
+            residue_arith, "_products_of_multiples", lambda ls: lanes.append(ls) or [0],
+        )
         with pytest.raises(CapacityError):
             euler_criterion_check(2, 20_000_003)
+        assert lanes == []
 
 
 class TestPrimeListing:

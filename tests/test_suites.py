@@ -1,3 +1,4 @@
+from collections import Counter
 from math import prod
 
 import pytest
@@ -120,14 +121,35 @@ class TestRunners:
         assert calls == list(dict.fromkeys(p for _, p in random_euler_cases(500, 1)))
 
     def test_euler_composite_p_raises_before_any_factorial(self, monkeypatch):
-        factorials = []
+        factorials, lanes = [], []
         monkeypatch.setattr(suites, "random_euler_cases", lambda n_cases, seed: [(5, 9)])
         monkeypatch.setattr(
             suites, "factorial_residues", lambda points: factorials.append(points) or [],
         )
+        monkeypatch.setattr(
+            suites, "_products_of_multiples", lambda batch: lanes.append(batch) or [],
+        )
         with pytest.raises(DomainError, match="^9 is not prime$"):
             run_suite("euler", 1, 0)
-        assert factorials == []
+        assert factorials == lanes == []
+
+    def test_euler_batches_distinct_ascending_primes_one_lane_per_case(self, monkeypatch):
+        batches = []
+        batched = suites._products_of_multiples
+        monkeypatch.setattr(
+            suites, "_products_of_multiples",
+            lambda lanes: batches.append(lanes) or batched(lanes),
+        )
+        assert run_suite("euler", 10000, 1).all_pass
+        for lanes in batches:
+            primes = [p for _, p in lanes]
+            assert 1 <= len(lanes) <= 16
+            assert all(a < b for a, b in zip(primes, primes[1:])), primes
+        assert max(map(len, batches)) == 16
+        cases = random_euler_cases(10000, 1)
+        assert Counter(lane for lanes in batches for lane in lanes) == Counter(
+            (qv % p, p) for qv, p in cases
+        )
 
     def test_wilson(self):
         result = run_suite("wilson", 10, 0)
@@ -170,6 +192,27 @@ class TestRunners:
         result = run_suite("euler", 500, 1)
         assert (result.n_pass, result.failures) == (500 - len(failures), tuple(failures[:20]))
 
+    @pytest.mark.parametrize("bad", [(), (3, 1999, 1051, 101, 67)])
+    def test_euler_left_side_fault_matches_per_case_checks(self, bad, monkeypatch):
+        # a lane fault reaches euler_criterion_check's one-lane call and the
+        # suite's batches alike, and fails exactly the cases with p in bad
+        batched = residue_arith._products_of_multiples
+
+        def faulty(lanes):
+            return [
+                (left + 1) % p if p in bad else left
+                for (_, p), left in zip(lanes, batched(lanes))
+            ]
+
+        monkeypatch.setattr(residue_arith, "_products_of_multiples", faulty)
+        monkeypatch.setattr(suites, "_products_of_multiples", faulty)
+        cases = random_euler_cases(500, 1)
+        failures = [f"q={qv} p={p}" for qv, p in cases if not euler_criterion_check(qv, p)]
+        assert failures == [f"q={qv} p={p}" for qv, p in cases if p in bad]
+        assert (len(failures) > 0) == (len(bad) > 0)
+        result = run_suite("euler", 500, 1)
+        assert (result.n_pass, result.failures) == (500 - len(failures), tuple(failures[:20]))
+
     @pytest.mark.parametrize("which,n,seed", [("wilson", 25, 0), ("euler", 40, 1)])
     def test_batched_residue_fault_fails_every_case(self, which, n, seed, monkeypatch):
         batched = suites.factorial_residues
@@ -179,6 +222,12 @@ class TestRunners:
         )
         result = run_suite(which, n, seed)
         assert result.n_fail == n and len(result.failures) == min(n, 20)
+        # the failures kept are the first 20, in case order
+        cases = (
+            [f"p={p}" for p in first_odd_primes(n)] if which == "wilson"
+            else [f"q={qv} p={p}" for qv, p in random_euler_cases(n, seed)]
+        )
+        assert result.failures == tuple(cases[:20])
 
     def test_wilson_at_the_case_cap_stays_within_the_factorial_cap(self):
         # the largest admitted wilson request never reaches the factorial cap
