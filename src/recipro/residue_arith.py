@@ -13,7 +13,7 @@ concurrently.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, zip_longest
 from math import isqrt, log, prod
 from typing import Iterable
 
@@ -122,14 +122,35 @@ def legendre_oracle(a: int, p: int) -> int:
     return 1 if a in _square_residues(p) else -1
 
 
+def _running_products(step: int, points: list[tuple[int, int]]) -> list[int]:
+    """(1 step)(2 step)...(n step) mod m for each (n, m) in points, n ascending.
+
+    Each multiple up to the last n is multiplied once, two consecutive ones
+    per reduction (an odd gap to the next n takes its first one alone),
+    modulo the product of the moduli still pending, which every pending m
+    divides; each point is read off at its n, its m then leaving the product.
+    """
+    pending = prod(m for _, m in points)
+    products = []
+    acc, done = 1, 0  # acc = (1 step)(2 step)...(done step) mod pending
+    for n, m in points:
+        if (n - done) % 2:
+            done += 1
+            acc = acc * (done * step) % pending
+        for t in range((done + 1) * step, n * step, 2 * step):
+            acc = acc * t * (t + step) % pending
+        done = n
+        products.append(acc % m)
+        pending //= m
+    return products
+
+
 def factorial_residues(points: Iterable[tuple[int, int]]) -> list[int]:
     """n! mod m for every (n, m) in points, in input order, from one running product.
 
-    All points are checked before any multiplication.  Each k from 2 to the
-    largest n is multiplied once, two consecutive k per reduction (an odd gap
-    to the next n takes its first k alone), modulo the product of the moduli
-    still pending, which every pending m divides; points are answered in
-    ascending n, each m then leaving the product.
+    All points are checked, and the factorial loop cap enforced, before any
+    multiplication; :func:`_running_products` then takes every point with step
+    1, in ascending n.
     """
     points = list(points)
     for n, m in points:
@@ -141,20 +162,10 @@ def factorial_residues(points: Iterable[tuple[int, int]]) -> list[int]:
             raise DomainError(f"modulus must be >= 2, got {m}")
     top = max((n for n, _ in points), default=0)
     budget.require_within(top, budget.FACTORIAL_LOOP_CAP, "factorial loop")
-    pending = prod(m for _, m in points)
+    order = sorted(range(len(points)), key=lambda i: points[i][0])
     residues = [0] * len(points)
-    acc = done = 1  # acc = done! mod pending
-    for i in sorted(range(len(points)), key=lambda i: points[i][0]):
-        n, m = points[i]
-        if n > done:
-            if (n - done) % 2:
-                done += 1
-                acc = acc * done % pending
-            for k in range(done + 1, n, 2):
-                acc = acc * k * (k + 1) % pending
-            done = n
-        residues[i] = acc % m
-        pending //= m
+    for i, r in zip(order, _running_products(1, [points[i] for i in order])):
+        residues[i] = r
     return residues
 
 
@@ -172,44 +183,56 @@ def wilson_check(p: int) -> bool:
 def _products_of_multiples(lanes: list[tuple[int, int]]) -> list[int]:
     """(qu)(2 qu)...((p-1)/2 * qu) mod p for each lane (qu, p), primes distinct, ascending.
 
-    One step = qu (mod p) for every lane, by CRT; its multiples are multiplied
-    two per reduction modulo the primes still pending, each lane read off at
-    its half and its p then dropped, as factorial_residues does.
+    One step = qu (mod p) for every lane, by CRT, whose running products are
+    read off at ((p-1)/2, p).
     """
     pending = prod(p for _, p in lanes)
     step = sum(qu * (c := pending // p) * pow(c, -1, p) for qu, p in lanes) % pending
-    lefts = []
-    acc, done = 1, 0  # acc = (step)(2 step)...(done * step) mod pending
-    for _, p in lanes:
-        half = (p - 1) // 2
-        if (half - done) % 2:
-            done += 1
-            acc = acc * (done * step) % pending
-        for t in range((done + 1) * step, half * step, 2 * step):
-            acc = acc * t * (t + step) % pending
-        done = half
-        lefts.append(acc % p)
-        pending //= p
-    return lefts
+    return _running_products(step, [((p - 1) // 2, p) for _, p in lanes])
 
 
-def _euler_sides_agree(left: int, qu: int, p: int, half_factorial: int) -> bool:
-    right = half_factorial if euler_symbol(qu, p) == 1 else (p - half_factorial) % p
-    return left == right
+# the k-th case of each of _EULER_LANES consecutive distinct primes is a lane of
+# one batch of euler left sides; 12 to 24 lanes ran fastest
+_EULER_LANES = 16
+
+
+def _euler_failures(cases: list[tuple[int, int]]) -> set[int]:
+    """Indices of the cases (q, p) whose sides of Euler's criterion disagree.
+
+    Each distinct p is tested for primality once, in order of first
+    appearance, and one factorial_residues call takes every half factorial
+    before any multiple is taken.  The distinct primes, ascending, are cut
+    into windows of _EULER_LANES; the k-th case of each prime in a window is
+    a lane of the window's k-th batch of left sides.
+    """
+    # every p is an int before any is hashed, so 7.0 or [7] raises DomainError
+    primes = [validate_odd_prime(p) for p in dict.fromkeys(_check_int(p) for _, p in cases)]
+    half_factorials = dict(zip(primes, factorial_residues([((p - 1) // 2, p) for p in primes])))
+    cases_of = {p: [] for p in sorted(primes)}
+    for i, (_, p) in enumerate(cases):
+        cases_of[p].append(i)
+    queues = list(cases_of.values())
+    failures = set()
+    for w in range(0, len(queues), _EULER_LANES):
+        for batch in zip_longest(*queues[w : w + _EULER_LANES]):
+            batch = [i for i in batch if i is not None]
+            lanes = [(_unit_mod(qv, p), p) for qv, p in map(cases.__getitem__, batch)]
+            for i, (qu, p), left in zip(batch, lanes, _products_of_multiples(lanes)):
+                right = half_factorials[p] if euler_symbol(qu, p) == 1 else -half_factorials[p] % p
+                if left != right:
+                    failures.add(i)
+    return failures
 
 
 def euler_criterion_check(q: int, p: int) -> bool:
     """Check (q)(2q)...((p-1)/2 * q) = (q/p) * ((p-1)/2)!  (mod p).
 
-    Both sides are computed independently: the left by multiplying the
-    multiples of q themselves, two per reduction, the right from one
-    Euler-criterion power (euler_symbol) and factorial_mod.  p is tested for
-    primality once.
+    The one-case call of :func:`_euler_failures`, which the euler suite makes
+    for all its cases.  The left side multiplies the multiples of q
+    themselves; the right takes one Euler-criterion power (euler_symbol) and
+    the half factorial.  p is tested for primality once.
     """
-    p = validate_odd_prime(p)
-    half_factorial = factorial_mod((p - 1) // 2, p)
-    qu = _unit_mod(q, p)
-    return _euler_sides_agree(_products_of_multiples([(qu, p)])[0], qu, p, half_factorial)
+    return not _euler_failures([(q, p)])
 
 
 def odd_primes_up_to(n: int) -> list[int]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import zip_longest
 from math import isqrt, prod
 from typing import Iterable
 
@@ -29,9 +28,7 @@ from .quotient_rank import (
     rank2_quotient_formula,
 )
 from .residue_arith import (
-    _euler_sides_agree,
-    _products_of_multiples,
-    _unit_mod,
+    _euler_failures,
     factorial_residues,
     first_odd_primes,
     odd_primes_up_to,
@@ -47,9 +44,6 @@ EULER_MAX_PRIME = 2000
 EULER_MAX_NUMERATOR = 1_000_000
 PAIR_MIN_EXCLUSIVE = 200
 PAIR_MAX_PRODUCT = 200_000
-# the k-th case of each of _EULER_LANES consecutive distinct primes is a lane of
-# one batch of euler left sides; 12 to 24 lanes ran fastest
-_EULER_LANES = 16
 
 
 def random_factor_lists(n_cases: int, seed: int) -> list[tuple[int, ...]]:
@@ -188,34 +182,11 @@ def run_quotient_rank_suite(n_cases: int, seed: int) -> SuiteResult:
     return _tally("lemma2", outcomes)
 
 
-def _euler_failures(cases: list[tuple[int, int]], half_factorials: dict[int, int]) -> set[int]:
-    """Indices of the cases whose sides disagree, the left sides run in batched lanes."""
-    cases_of = {p: [] for p in sorted(half_factorials)}
-    for i, (_, p) in enumerate(cases):
-        cases_of[p].append(i)
-    queues = list(cases_of.values())
-    failures = set()
-    for w in range(0, len(queues), _EULER_LANES):
-        for batch in zip_longest(*queues[w : w + _EULER_LANES]):
-            batch = [i for i in batch if i is not None]
-            lanes = [(_unit_mod(qv, p), p) for qv, p in map(cases.__getitem__, batch)]
-            for i, (qu, p), left in zip(batch, lanes, _products_of_multiples(lanes)):
-                if not _euler_sides_agree(left, qu, p, half_factorials[p]):
-                    failures.add(i)
-    return failures
-
-
 def run_euler_suite(n_cases: int, seed: int) -> SuiteResult:
-    """Suite ``euler``: the multiple-product identity on random (q, p).
-
-    Each distinct p is tested for primality once, in order of first
-    appearance, before one factorial_residues call serves them all; each case
-    is otherwise checked as euler_criterion_check does, in batched lanes.
-    """
+    """Suite ``euler``: the multiple-product identity on random (q, p), every
+    case checked by one residue_arith._euler_failures call."""
     cases = random_euler_cases(n_cases, seed)
-    primes = [validate_odd_prime(p) for p in dict.fromkeys(p for _, p in cases)]
-    half_factorials = dict(zip(primes, factorial_residues([((p - 1) // 2, p) for p in primes])))
-    failures = _euler_failures(cases, half_factorials)
+    failures = _euler_failures(cases)
     # a generator, so that only the descriptions of failures are held
     outcomes = ((i not in failures, f"q={qv} p={p}") for i, (qv, p) in enumerate(cases))
     return _tally("euler", outcomes)

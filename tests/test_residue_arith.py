@@ -221,6 +221,11 @@ class TestEulerCriterionCheck:
         with pytest.raises(DomainError):
             euler_criterion_check(21, 7)
 
+    @pytest.mark.parametrize("p", [7.0, [7], True])
+    def test_rejects_non_int_p(self, p):
+        with pytest.raises(DomainError, match="must be an integer"):
+            euler_criterion_check(3, p)
+
     def test_random_cases(self):
         rng = random.Random(3)
         primes = odd_primes_up_to(300)

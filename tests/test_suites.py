@@ -8,6 +8,7 @@ from recipro import (
     DomainError,
     budget,
     euler_criterion_check,
+    factorial_mod,
     first_odd_primes,
     is_prime,
     residue_arith,
@@ -24,6 +25,7 @@ from recipro.suites import (
     random_prime_pairs,
     run_suite,
 )
+from _oracles import factorial_by_running_product
 
 
 class TestGenerators:
@@ -71,6 +73,59 @@ def perturb_residues(monkeypatch, bad_moduli):
 
     monkeypatch.setattr(residue_arith, "factorial_residues", faulty)
     monkeypatch.setattr(suites, "factorial_residues", faulty)
+
+
+def perturb_running_products(monkeypatch, bad_moduli, faulty_step):
+    """Make residue_arith._running_products answer (r + 1) mod m wherever m is in
+    bad_moduli, in the calls whose step satisfies faulty_step."""
+    exact = residue_arith._running_products
+
+    def faulty(step, points):
+        return [
+            (r + 1) % m if faulty_step(step) and m in bad_moduli else r
+            for (_, m), r in zip(points, exact(step, points))
+        ]
+
+    monkeypatch.setattr(residue_arith, "_running_products", faulty)
+
+
+class TestOneRunningProduct:
+    # Factorials take the one running product with step 1, euler left sides with
+    # a step = q (mod p), so a fault in one kind of call shows which checks read
+    # it.  The same fault in every call could cancel in the euler identity, which
+    # compares two outputs of the loop, so no test makes one.
+    BAD = (3, 67, 101, 1051, 1993, 1999)
+
+    def assert_euler_fails_where_p_is_bad(self):
+        cases = random_euler_cases(500, 1)
+        # a lone lane with q = 1 (mod p) has step 1, like a factorial
+        assert all(qv % p != 1 for qv, p in cases if p in self.BAD)
+        expected = [f"q={qv} p={p}" for qv, p in cases if p in self.BAD]
+        assert 0 < len(expected) <= 20
+        assert [f"q={qv} p={p}" for qv, p in cases if not euler_criterion_check(qv, p)] == expected
+        result = run_suite("euler", 500, 1)
+        assert (result.n_fail, result.failures) == (len(expected), tuple(expected))
+
+    def test_factorial_fault_reaches_wilson_and_euler_right_sides(self, monkeypatch):
+        perturb_running_products(monkeypatch, self.BAD, lambda step: step == 1)
+        exact = factorial_by_running_product
+        wrong = [m for m in range(2, 2000) if factorial_mod(20, m) != exact(20, m)]
+        assert wrong == sorted(self.BAD)
+        primes = first_odd_primes(300)
+        expected = [f"p={p}" for p in primes if p in self.BAD]
+        assert len(expected) == 5
+        assert [f"p={p}" for p in primes if not wilson_check(p)] == expected
+        result = run_suite("wilson", 300, 0)
+        assert (result.n_fail, result.failures) == (len(expected), tuple(expected))
+        self.assert_euler_fails_where_p_is_bad()
+
+    def test_multiple_fault_reaches_only_euler_left_sides(self, monkeypatch):
+        perturb_running_products(monkeypatch, self.BAD, lambda step: step != 1)
+        exact = factorial_by_running_product
+        assert all(factorial_mod(20, m) == exact(20, m) for m in range(2, 2000))
+        assert all(map(wilson_check, first_odd_primes(300)))
+        assert run_suite("wilson", 300, 0).all_pass
+        self.assert_euler_fails_where_p_is_bad()
 
 
 class TestRunners:
@@ -124,10 +179,10 @@ class TestRunners:
         factorials, lanes = [], []
         monkeypatch.setattr(suites, "random_euler_cases", lambda n_cases, seed: [(5, 9)])
         monkeypatch.setattr(
-            suites, "factorial_residues", lambda points: factorials.append(points) or [],
+            residue_arith, "factorial_residues", lambda points: factorials.append(points) or [],
         )
         monkeypatch.setattr(
-            suites, "_products_of_multiples", lambda batch: lanes.append(batch) or [],
+            residue_arith, "_products_of_multiples", lambda batch: lanes.append(batch) or [],
         )
         with pytest.raises(DomainError, match="^9 is not prime$"):
             run_suite("euler", 1, 0)
@@ -135,9 +190,9 @@ class TestRunners:
 
     def test_euler_batches_distinct_ascending_primes_one_lane_per_case(self, monkeypatch):
         batches = []
-        batched = suites._products_of_multiples
+        batched = residue_arith._products_of_multiples
         monkeypatch.setattr(
-            suites, "_products_of_multiples",
+            residue_arith, "_products_of_multiples",
             lambda lanes: batches.append(lanes) or batched(lanes),
         )
         assert run_suite("euler", 10000, 1).all_pass
@@ -205,7 +260,6 @@ class TestRunners:
             ]
 
         monkeypatch.setattr(residue_arith, "_products_of_multiples", faulty)
-        monkeypatch.setattr(suites, "_products_of_multiples", faulty)
         cases = random_euler_cases(500, 1)
         failures = [f"q={qv} p={p}" for qv, p in cases if not euler_criterion_check(qv, p)]
         assert failures == [f"q={qv} p={p}" for qv, p in cases if p in bad]
@@ -215,11 +269,12 @@ class TestRunners:
 
     @pytest.mark.parametrize("which,n,seed", [("wilson", 25, 0), ("euler", 40, 1)])
     def test_batched_residue_fault_fails_every_case(self, which, n, seed, monkeypatch):
-        batched = suites.factorial_residues
-        monkeypatch.setattr(
-            suites, "factorial_residues",
-            lambda points: [r + 1 for r in batched(points)],
-        )
+        batched = residue_arith.factorial_residues
+        for module in (residue_arith, suites):
+            monkeypatch.setattr(
+                module, "factorial_residues",
+                lambda points: [r + 1 for r in batched(points)],
+            )
         result = run_suite(which, n, seed)
         assert result.n_fail == n and len(result.failures) == min(n, 20)
         # the failures kept are the first 20, in case order
