@@ -7,8 +7,10 @@ function that takes an element from the caller, so it checks that every
 coordinate is reduced.  Enumeration order is lexicographic on the coordinate
 tuples (the rightmost coordinate varies fastest), and every operation that
 walks the whole group is capacity-checked first.  The walks in
-two_torsion_subgroup and sum_all_elements visit every element, but run
-through itertools and builtins, with no Python bytecode per element.
+two_torsion_subgroup and sum_all_elements visit every element with no Python
+bytecode per element: sum_all_elements through itertools and builtins, and
+two_torsion_subgroup through _state_walk, which gives every element one state
+byte built from all its coordinates by bytes.translate and bytes.join.
 
 Values are immutable after construction and all operations are pure
 functions, so everything here may be used concurrently without locking.
@@ -20,10 +22,10 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from . import budget
-from .errors import DomainError
+from .errors import DomainError, InternalCheckError
 
 
 @dataclass(frozen=True)
@@ -68,18 +70,54 @@ def element_order(G: AbelianGroup, coords: tuple[int, ...]) -> int:
     return lcm(*(n // gcd(n, c) for c, n in zip(coords, orders)))
 
 
+def _state_walk(tables: Sequence[Sequence[int]], combine: Sequence[bytes]) -> bytes:
+    """One state byte per element of Z/n_1 x ... x Z/n_k, in enumeration order.
+
+    tables[i][c] is the state of coordinate c in factor i, and combine[s] is a
+    256-byte translation table taking the state of the faster coordinates to
+    their state combined with a slower coordinate in state s.  The walk over
+    the last factor is its table; each slower factor joins, in the order of
+    its table, one translated copy of that walk per distinct state, so no
+    Python code runs per element.  With no factors there is one element, in
+    state 1.
+    """
+    budget.require_within(prod(map(len, tables)), budget.GROUP_ENUM_CAP, "group enumeration")
+    if not tables:
+        return b"\x01"
+    walk = bytes(tables[-1])
+    for table in reversed(tables[:-1]):
+        copies = {s: walk.translate(combine[s]) for s in set(table)}
+        del walk  # the walk being joined and its copies then hold at most about 2|G| bytes
+        # bytes.join holds an 80-byte buffer per piece, so pieces go in 4096 at a time
+        walk = b"".join([b"".join(map(copies.__getitem__, table[i:i + 4096]))
+                         for i in range(0, len(table), 4096)])
+    return walk
+
+
+# combine tables for flags: a slower coordinate with flag 0 clears, with flag 1 keeps
+_AND = (bytes(256), bytes(range(256)))
+
+
+def _torsion_flags(n: int) -> list[bool]:
+    """flag[c] for c in Z/n: whether 2c = 0 (True is state 1, False state 0)."""
+    return [2 * c % n == 0 for c in range(n)]
+
+
 def two_torsion_subgroup(G: AbelianGroup) -> list[tuple[int, ...]]:
     """The coordinate tuples of all g with 2g = 0, in lexicographic order,
     by full enumeration.
 
-    Each factor's flags 2c = 0 are tabulated once; their product runs in step
-    with the walk over G, so one flag tuple is tested per element.  The
-    result has 2**rank elements where rank counts the even factors.
+    Each factor's flags 2c = 0 are tabulated once and walked, combined by AND,
+    into one flag byte per element; the group's own walk is filtered by those
+    bytes.  The walk must cover |G| elements, or the filter would stop early;
+    anything else signals a bug in this package, hence InternalCheckError.
+    The result has 2**rank elements where rank counts the even factors.
     """
-    orders = G.factor_orders
-    flags = [[2 * c % n == 0 for c in range(n)] for n in orders]
-    want = (True,) * len(orders)
-    return list(itertools.compress(G.iter_coords(), map(want.__eq__, itertools.product(*flags))))
+    coords = G.iter_coords()  # capacity-checked before any flag is tabulated
+    walk = _state_walk([_torsion_flags(n) for n in G.factor_orders], _AND)
+    if len(walk) != G.order:
+        raise InternalCheckError(f"flagged {len(walk)} elements of a group of order {G.order}")
+    return list(itertools.compress(coords, walk))
 
 
 def rank2(G: AbelianGroup) -> Rank2Result:

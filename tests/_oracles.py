@@ -54,6 +54,20 @@ def torsion_by_element_loop(orders):
     ]
 
 
+def state_walk_by_element_loop(tables, combine):
+    """One state per element of the product of the state tables, in enumeration
+    order: the last coordinate's state folded through combine[s] for each
+    slower coordinate s, one element at a time.  No factors: one element, state 1.
+    """
+    walk = []
+    for coords in itertools.product(*tables):
+        state = coords[-1] if coords else 1
+        for s in reversed(coords[:-1]):
+            state = combine[s][state]
+        walk.append(state)
+    return bytes(walk)
+
+
 def quotient_count_by_element_loop(orders):
     """Number of g with 2g in {0, (n_1/2, ..., n_k/2)}, one element at a time."""
     target = tuple(n // 2 for n in orders)
