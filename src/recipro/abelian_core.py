@@ -9,8 +9,10 @@ tuples (the rightmost coordinate varies fastest), and every operation that
 walks the whole group is capacity-checked first.  The walks in
 two_torsion_subgroup and sum_all_elements visit every element with no Python
 bytecode per element: sum_all_elements through itertools and builtins, and
-two_torsion_subgroup through _state_walk, which gives every element one state
-byte built from all its coordinates by bytes.translate and bytes.join.
+two_torsion_subgroup through _doubling_walk, which gives every element g one
+state byte saying whether 2g is 0, (n_1/2, ..., n_k/2) or neither, built from
+all its coordinates by bytes.translate and bytes.join.  quotient_rank counts
+the same bytes.
 
 Values are immutable after construction and all operations are pure
 functions, so everything here may be used concurrently without locking.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from operator import itemgetter
+from operator import itemgetter, mod
 from typing import Iterator, NamedTuple, Sequence
 
 from . import budget
@@ -70,54 +72,54 @@ def element_order(G: AbelianGroup, coords: tuple[int, ...]) -> int:
     return lcm(*(n // gcd(n, c) for c, n in zip(coords, orders)))
 
 
-def _state_walk(tables: Sequence[Sequence[int]], combine: Sequence[bytes]) -> bytes:
-    """One state byte per element of Z/n_1 x ... x Z/n_k, in enumeration order.
+def _doubling_codes(n: int) -> list[int]:
+    """code[c] for c in Z/n: 0 when 2c = 0, 1 when 2c = n/2 (n even), 2 otherwise."""
+    doubled = map(mod, range(0, 2 * n, 2), itertools.repeat(n))  # 2c mod n, c = 0, ..., n - 1
+    return [0 if d == 0 else 1 if 2 * d == n else 2 for d in doubled]
 
-    tables[i][c] is the state of coordinate c in factor i, and combine[s] is a
-    256-byte translation table taking the state of the faster coordinates to
-    their state combined with a slower coordinate in state s.  The walk over
-    the last factor is its table; each slower factor joins, in the order of
-    its table, one translated copy of that walk per distinct state, so no
-    Python code runs per element.  With no factors there is one element, in
-    state 1.
+
+# combine tables for codes: 0 while every code is 0, 1 while every code is 1, else 2
+_SAME = tuple(bytes(s if t == s else 2 for t in range(256)) for s in range(3))
+
+
+def _doubling_walk(orders: Sequence[int]) -> bytes:
+    """One state byte per element g of Z/n_1 x ... x Z/n_k, in enumeration
+    order: 0 when 2g = 0, 1 when 2g = (n_1/2, ..., n_k/2), 2 otherwise.
+
+    Each factor's doubling codes are tabulated once.  The walk over the last
+    factor is its code table; each slower factor joins, in the order of its
+    table, one copy of the walk so far per distinct code s, translated by
+    _SAME[s], so no Python code runs per element.  With no factors there is
+    one element, in state 0.  The walk must cover |G| elements; anything else
+    signals a bug in this package, hence InternalCheckError.
     """
-    budget.require_within(prod(map(len, tables)), budget.GROUP_ENUM_CAP, "group enumeration")
-    if not tables:
-        return b"\x01"
-    walk = bytes(tables[-1])
-    for table in reversed(tables[:-1]):
-        copies = {s: walk.translate(combine[s]) for s in set(table)}
+    order = prod(orders)
+    budget.require_within(order, budget.GROUP_ENUM_CAP, "group enumeration")
+    walk = bytes(_doubling_codes(orders[-1])) if orders else b"\x00"
+    for n in reversed(orders[:-1]):
+        table = _doubling_codes(n)
+        copies = {s: walk.translate(_SAME[s]) for s in set(table)}
         del walk  # the walk being joined and its copies then hold at most about 2|G| bytes
         # bytes.join holds an 80-byte buffer per piece, so pieces go in 4096 at a time
         walk = b"".join([b"".join(map(copies.__getitem__, table[i:i + 4096]))
                          for i in range(0, len(table), 4096)])
+    if len(walk) != order:
+        raise InternalCheckError(f"walked {len(walk)} elements of a group of order {order}")
     return walk
 
 
-# combine tables for flags: a slower coordinate with flag 0 clears, with flag 1 keeps
-_AND = (bytes(256), bytes(range(256)))
-
-
-def _torsion_flags(n: int) -> list[bool]:
-    """flag[c] for c in Z/n: whether 2c = 0 (True is state 1, False state 0)."""
-    return [2 * c % n == 0 for c in range(n)]
+# translation table taking state 0 (2g = 0) to 1 and every other state to 0
+_DOUBLES_TO_ZERO = bytes([1]).ljust(256, b"\0")
 
 
 def two_torsion_subgroup(G: AbelianGroup) -> list[tuple[int, ...]]:
     """The coordinate tuples of all g with 2g = 0, in lexicographic order,
-    by full enumeration.
-
-    Each factor's flags 2c = 0 are tabulated once and walked, combined by AND,
-    into one flag byte per element; the group's own walk is filtered by those
-    bytes.  The walk must cover |G| elements, or the filter would stop early;
-    anything else signals a bug in this package, hence InternalCheckError.
-    The result has 2**rank elements where rank counts the even factors.
+    by full enumeration: the group's own walk filtered by the doubling walk's
+    state 0.  The result has 2**rank elements where rank counts the even
+    factors.
     """
-    coords = G.iter_coords()  # capacity-checked before any flag is tabulated
-    walk = _state_walk([_torsion_flags(n) for n in G.factor_orders], _AND)
-    if len(walk) != G.order:
-        raise InternalCheckError(f"flagged {len(walk)} elements of a group of order {G.order}")
-    return list(itertools.compress(coords, walk))
+    flags = _doubling_walk(G.factor_orders).translate(_DOUBLES_TO_ZERO)
+    return list(itertools.compress(G.iter_coords(), flags))
 
 
 def rank2(G: AbelianGroup) -> Rank2Result:

@@ -7,10 +7,10 @@ is computed by two independent routes:
 * a closed-form case split: k when 4 divides every n_i, else k - 1;
 * brute force, counting the g in G with 2g in Gamma.  Each two-torsion
   class of the quotient contributes exactly |Gamma| = 2 solutions, so the
-  count is twice a power of two and its half gives the rank.  Every element
-  of G gets one state byte from all its coordinates, through
-  abelian_core._state_walk rather than a Python loop, and the bytes are
-  counted.
+  count is twice a power of two and its half gives the rank.  The count is
+  read off abelian_core._doubling_walk, the one state byte per element that
+  two_torsion_subgroup filters by, whose states 0 and 1 are 2g = 0 and 2g the
+  nonzero element of Gamma.
 
 The quotient itself is never materialized; counting is all that is needed.
 Pure functions over immutable inputs, safe for concurrent use.
@@ -18,11 +18,9 @@ Pure functions over immutable inputs, safe for concurrent use.
 
 from __future__ import annotations
 
-from math import prod
 from typing import Sequence
 
-from . import budget
-from .abelian_core import _state_walk
+from .abelian_core import _doubling_walk
 from .errors import DomainError, InternalCheckError
 
 
@@ -43,32 +41,14 @@ def rank2_quotient_formula(orders: Sequence[int]) -> int:
     return k if all(n % 4 == 0 for n in orders) else k - 1
 
 
-def _doubling_codes(n: int) -> list[int]:
-    """code[c] for c in Z/n: 0 when 2c = 0, 1 when 2c = n/2, 2 otherwise."""
-    half = n // 2
-    return [0 if d == 0 else 1 if d == half else 2 for d in (2 * c % n for c in range(n))]
-
-
-# combine tables for codes: 0 while every code is 0, 1 while every code is 1, else 2
-_SAME = tuple(bytes(s if t == s else 2 for t in range(256)) for s in range(3))
-
-
 def rank2_quotient_enumerated(orders: Sequence[int]) -> int:
     """Quotient 2-rank by counting the g in G with 2g in Gamma.
 
-    Each factor's doubling codes are tabulated once and walked into one state
-    byte per element of G: 0 when every code is 0 (2g = 0), 1 when every code
-    is 1 (2g is the nonzero element of Gamma), 2 otherwise.  The walk must
-    cover |G| elements and the count of states 0 and 1 must be 2 * 2**rank;
-    anything else signals a bug in this package rather than bad input, hence
-    InternalCheckError.
+    The count of states 0 and 1 in the doubling walk of G must be
+    2 * 2**rank; anything else signals a bug in this package rather than bad
+    input, hence InternalCheckError.
     """
-    orders = _even_orders(orders)
-    order = prod(orders)
-    budget.require_within(order, budget.GROUP_ENUM_CAP, "quotient two-torsion count")
-    walk = _state_walk(list(map(_doubling_codes, orders)), _SAME)
-    if len(walk) != order:
-        raise InternalCheckError(f"tallied {len(walk)} elements of a group of order {order}")
+    walk = _doubling_walk(_even_orders(orders))
     count = walk.count(0) + walk.count(1)
     half, rem = divmod(count, 2)
     if rem or half < 1 or half & (half - 1):

@@ -3,8 +3,9 @@
 All randomness comes from ``random.Random(seed)``, i.e. the Mersenne Twister
 (MT19937) as shipped with CPython.  Every generator documents its exact draw
 sequence, so a case list is reproducible from the seed alone.  run_suite
-refuses more than budget.SUITE_CASE_CAP cases, for every suite, with
-CapacityError before any case is drawn or any prime is sieved.
+refuses a case count that is a bool or not an int with DomainError, and more
+than budget.SUITE_CASE_CAP cases with CapacityError, for every suite, before
+any case is drawn or any prime is sieved.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .quotient_rank import (
     rank2_quotient_formula,
 )
 from .residue_arith import (
+    _check_int,
     _euler_failures,
     factorial_residues,
     first_odd_primes,
@@ -218,7 +220,7 @@ SUITE_NAMES = tuple(_RUNNERS)
 def run_suite(which: str, n_cases: int, seed: int) -> SuiteResult:
     if which not in _RUNNERS:
         raise DomainError(f"unknown suite {which!r}; choose from {', '.join(SUITE_NAMES)}")
-    if n_cases < 1:
+    if _check_int(n_cases, "n_cases") < 1:
         raise DomainError(f"n_cases must be >= 1, got {n_cases}")
     cap = budget.SUITE_CASE_CAP
     if n_cases > cap:

@@ -54,17 +54,20 @@ def torsion_by_element_loop(orders):
     ]
 
 
-def state_walk_by_element_loop(tables, combine):
-    """One state per element of the product of the state tables, in enumeration
-    order: the last coordinate's state folded through combine[s] for each
-    slower coordinate s, one element at a time.  No factors: one element, state 1.
+def doubling_walk_by_element_loop(orders):
+    """One state per element g, in enumeration order, from 2g folded one
+    element at a time: 0 when 2g = 0, 1 when 2g = (n_1/2, ..., n_k/2), else 2.
+    No factors: one element, state 0.
     """
     walk = []
-    for coords in itertools.product(*tables):
-        state = coords[-1] if coords else 1
-        for s in reversed(coords[:-1]):
-            state = combine[s][state]
-        walk.append(state)
+    for coords in itertools.product(*(range(n) for n in orders)):
+        doubled = [2 * c % n for c, n in zip(coords, orders)]
+        if not any(doubled):
+            walk.append(0)
+        elif all(2 * d == n for d, n in zip(doubled, orders)):
+            walk.append(1)
+        else:
+            walk.append(2)
     return bytes(walk)
 
 

@@ -13,10 +13,11 @@ from recipro import (
     sum_all_elements,
     two_torsion_subgroup,
 )
+from recipro.quotient_rank import rank2_quotient_enumerated
 from recipro.suites import random_factor_lists, run_suite
 from _oracles import (
+    doubling_walk_by_element_loop,
     order_by_repeated_addition,
-    state_walk_by_element_loop,
     sum_by_element_loop,
     sum_coords_formula,
     torsion_by_element_loop,
@@ -105,14 +106,20 @@ class TestTwoTorsion:
         with pytest.raises(CapacityError):
             two_torsion_subgroup(AbelianGroup((2,) * 23))
 
-    def test_capacity_checked_before_any_flag_is_tabulated(self, monkeypatch):
-        # a single factor over the cap would otherwise build its whole flag table first
+    @pytest.mark.parametrize(
+        "walk",
+        [lambda: two_torsion_subgroup(AbelianGroup((1 << 23,))),
+         lambda: rank2_quotient_enumerated((1 << 23,))],
+        ids=["torsion", "quotient"],
+    )
+    def test_capacity_checked_before_any_flag_is_tabulated(self, walk, monkeypatch):
+        # a single factor over the cap would otherwise build its whole code table first
         def tabulate(n):
-            raise AssertionError(f"tabulated flags of Z/{n}")
+            raise AssertionError(f"tabulated codes of Z/{n}")
 
-        monkeypatch.setattr(abelian_core, "_torsion_flags", tabulate)
+        monkeypatch.setattr(abelian_core, "_doubling_codes", tabulate)
         with pytest.raises(CapacityError, match="group enumeration needs 8388608 steps"):
-            two_torsion_subgroup(AbelianGroup((1 << 23,)))
+            walk()
 
     @given(st.lists(st.integers(min_value=1, max_value=16), min_size=0, max_size=4))
     @settings(max_examples=80, deadline=None)
@@ -122,30 +129,30 @@ class TestTwoTorsion:
 
 
 class TestTorsionFaults:
-    """A flag table that loses, gains or mislabels an element must not pass."""
+    """A code table that loses, gains or mislabels an element must not pass."""
 
     @pytest.fixture
-    def flags(self, monkeypatch):
-        original = abelian_core._torsion_flags
+    def codes(self, monkeypatch):
+        original = abelian_core._doubling_codes
 
         def install(fault):
-            monkeypatch.setattr(abelian_core, "_torsion_flags", lambda n: fault(n, original(n)))
+            monkeypatch.setattr(abelian_core, "_doubling_codes", lambda n: fault(n, original(n)))
 
         return install
 
-    def test_truncated_table(self, flags):
-        flags(lambda n, table: table[:-1])
-        with pytest.raises(InternalCheckError, match="flagged 9 elements of a group of order 16"):
+    def test_truncated_table(self, codes):
+        codes(lambda n, table: table[:-1])
+        with pytest.raises(InternalCheckError, match="walked 9 elements of a group of order 16"):
             two_torsion_subgroup(AbelianGroup((4, 4)))
 
-    def test_extended_table(self, flags):
-        flags(lambda n, table: table + [False])
-        with pytest.raises(InternalCheckError, match="flagged 25 elements"):
+    def test_extended_table(self, codes):
+        codes(lambda n, table: table + [0])
+        with pytest.raises(InternalCheckError, match="walked 25 elements"):
             two_torsion_subgroup(AbelianGroup((4, 4)))
 
-    def test_mislabelled_flag_fails_the_rank_one_groups_with_that_factor(self, flags):
-        # Z/6 has flags 2c = 0 at c = 0, 3 only: marking c = 1 too gives 3 solutions
-        flags(lambda n, table: table[:1] + [True] + table[2:] if n == 6 else table)
+    def test_mislabelled_flag_fails_the_rank_one_groups_with_that_factor(self, codes):
+        # Z/6 has 2c = 0 at c = 0, 3 only: labelling c = 1 so too gives 3 solutions
+        codes(lambda n, table: table[:1] + [0] + table[2:] if n == 6 else table)
         cases = random_factor_lists(200, 0)
         expected = [f"orders={o}" for o in cases if 6 in o and rank2(AbelianGroup(o)).rank == 1]
         assert 0 < len(expected) < sum(6 in o for o in cases)
@@ -153,26 +160,21 @@ class TestTorsionFaults:
         assert (result.n_fail, result.failures) == (len(expected), tuple(expected))
 
 
-states = st.integers(0, 2)
-state_tables = st.lists(st.lists(states, min_size=1, max_size=16), max_size=4)
-combine_rows = st.lists(st.lists(states, min_size=3, max_size=3), min_size=3, max_size=3)
-
-
-class TestStateWalk:
-    @given(state_tables, combine_rows)
-    @example([], [[0, 1, 2]] * 3)
-    @example([[2], [1], [0]], [[1, 2, 0], [0, 0, 0], [2, 1, 1]])
+class TestDoublingWalk:
+    @given(st.lists(st.integers(min_value=1, max_value=16), max_size=4))
+    @example([])
+    @example([1, 1])
+    @example([1, 4, 1])
     # large factors first and last; a first factor over 4096 is joined in several pieces
-    @example([[0, 1, 2] * 1366 + [1], [1, 0]], [[2, 2, 1], [0, 1, 2], [1, 0, 0]])
-    @example([[1, 0], [0, 2, 1] * 1366 + [2]], [[2, 2, 1], [0, 1, 2], [1, 0, 0]])
+    @example([4100, 2])
+    @example([2, 4100])
     @settings(max_examples=150, deadline=None)
-    def test_matches_element_loop(self, tables, rows):
-        combine = [bytes(row).ljust(256, b"\0") for row in rows]
-        assert abelian_core._state_walk(tables, combine) == state_walk_by_element_loop(tables, rows)
+    def test_matches_element_loop(self, orders):
+        assert abelian_core._doubling_walk(orders) == doubling_walk_by_element_loop(orders)
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError, match="group enumeration needs 8388608 steps"):
-            abelian_core._state_walk([[0, 1]] * 23, [bytes(256)] * 2)
+            abelian_core._doubling_walk((2,) * 23)
 
 
 class TestRank2:

@@ -7,8 +7,8 @@ from recipro import (
     CapacityError,
     DomainError,
     InternalCheckError,
+    abelian_core,
     element_order,
-    quotient_rank,
     rank2_quotient_enumerated,
     rank2_quotient_formula,
     verify_pair,
@@ -80,10 +80,14 @@ class TestEnumerated:
 
     def test_codes(self):
         # 2c mod 8 = 0, 2, 4, 6, 0, 2, 4, 6: zero at c = 0, 4 and n/2 = 4 at c = 2, 6
-        assert quotient_rank._doubling_codes(8) == [0, 2, 1, 2, 0, 2, 1, 2]
+        assert abelian_core._doubling_codes(8) == [0, 2, 1, 2, 0, 2, 1, 2]
         # in Z/2 every 2c is 0, so n/2 = 1 is never hit; in Z/6, 2c is never 3
-        assert quotient_rank._doubling_codes(2) == [0, 0]
-        assert quotient_rank._doubling_codes(6) == [0, 2, 2, 0, 2, 2]
+        assert abelian_core._doubling_codes(2) == [0, 0]
+        assert abelian_core._doubling_codes(6) == [0, 2, 2, 0, 2, 2]
+        # odd n has no n/2: in Z/3 and Z/5, 2c = 0 at c = 0 only and no code is 1
+        assert abelian_core._doubling_codes(1) == [0]
+        assert abelian_core._doubling_codes(3) == [0, 2, 2]
+        assert abelian_core._doubling_codes(5) == [0, 2, 2, 2, 2]
 
     def test_seeded_generator_agreement(self):
         for orders in random_even_factor_lists(40, seed=20260810):
@@ -108,21 +112,21 @@ class TestTallyFaults:
 
     @pytest.fixture
     def codes(self, monkeypatch):
-        original = quotient_rank._doubling_codes
+        original = abelian_core._doubling_codes
 
         def install(fault):
-            monkeypatch.setattr(quotient_rank, "_doubling_codes", lambda n: fault(original(n)))
+            monkeypatch.setattr(abelian_core, "_doubling_codes", lambda n: fault(original(n)))
 
         return install
 
     def test_truncated_table(self, codes):
         codes(lambda table: table[:-1])
-        with pytest.raises(InternalCheckError, match="tallied 9 elements of a group of order 16"):
+        with pytest.raises(InternalCheckError, match="walked 9 elements of a group of order 16"):
             rank2_quotient_enumerated((4, 4))
 
     def test_extended_table(self, codes):
         codes(lambda table: table + [0])
-        with pytest.raises(InternalCheckError, match="tallied 25 elements"):
+        with pytest.raises(InternalCheckError, match="walked 25 elements"):
             rank2_quotient_enumerated((4, 4))
 
     def test_corrupted_code(self, codes):

@@ -312,6 +312,16 @@ class TestRunners:
         with pytest.raises(DomainError):
             run_suite("lemma9", 5, 0)
 
-    def test_bad_case_count(self):
-        with pytest.raises(DomainError):
-            run_suite("lemma1", 0, 0)
+    @pytest.mark.parametrize(
+        "which,n_cases,generator",
+        [("lemma1", 0, "random_factor_lists"), ("wilson", True, "first_odd_primes"),
+         ("lemma1", 2.5, "random_factor_lists"), ("euler", "3", "random_euler_cases"),
+         ("lemma2", None, "random_even_factor_lists")],
+    )
+    def test_bad_case_count(self, which, n_cases, generator, monkeypatch):
+        # a bool or non-int count is refused like a zero one, before any case is drawn
+        drawn = []
+        monkeypatch.setattr(suites, generator, lambda *args, **kwargs: drawn.append(args) or [])
+        with pytest.raises(DomainError, match="^n_cases must be "):
+            run_suite(which, n_cases, 0)
+        assert drawn == []
