@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from operator import itemgetter, mod
+from operator import getitem, itemgetter, mod
 from typing import Iterator, NamedTuple, Sequence
 
 from . import budget
@@ -72,10 +72,17 @@ def element_order(G: AbelianGroup, coords: tuple[int, ...]) -> int:
     return lcm(*(n // gcd(n, c) for c, n in zip(coords, orders)))
 
 
-def _doubling_codes(n: int) -> list[int]:
-    """code[c] for c in Z/n: 0 when 2c = 0, 1 when 2c = n/2 (n even), 2 otherwise."""
+def _doubling_codes(n: int) -> bytes:
+    """code[c] for c in Z/n: 0 when 2c = 0, 1 when 2c = n/2 (n even), 2 otherwise.
+
+    Every 2c mod n is computed and looked up in a table of the n values it can
+    take, all by C-level maps, one byte per coordinate.
+    """
+    code_of = bytearray([2]) * n
+    code_of[n // 2] = 1 + n % 2  # 1 at n/2 for even n; for odd n, (n-1)/2 keeps 2
+    code_of[0] = 0
     doubled = map(mod, range(0, 2 * n, 2), itertools.repeat(n))  # 2c mod n, c = 0, ..., n - 1
-    return [0 if d == 0 else 1 if 2 * d == n else 2 for d in doubled]
+    return bytes(map(getitem, itertools.repeat(code_of), doubled))
 
 
 # combine tables for codes: 0 while every code is 0, 1 while every code is 1, else 2
@@ -95,7 +102,7 @@ def _doubling_walk(orders: Sequence[int]) -> bytes:
     """
     order = prod(orders)
     budget.require_within(order, budget.GROUP_ENUM_CAP, "group enumeration")
-    walk = bytes(_doubling_codes(orders[-1])) if orders else b"\x00"
+    walk = _doubling_codes(orders[-1]) if orders else b"\x00"
     for n in reversed(orders[:-1]):
         table = _doubling_codes(n)
         copies = {s: walk.translate(_SAME[s]) for s in set(table)}

@@ -25,6 +25,12 @@ _INT64_LIMIT = 1 << 64
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3e24 and in
 # particular for the full 64-bit range this module accepts.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (psi, k): the first k witnesses decide every n < psi, psi being the least
+# strong pseudoprime to all of them (OEIS A014233); all 12 decide n < 2**64
+_MR_PREFIXES = (
+    (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+    (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9), (_INT64_LIMIT, 12),
+)
 
 
 def _check_int(n, name: str = "argument") -> int:
@@ -34,7 +40,12 @@ def _check_int(n, name: str = "argument") -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 0 <= n < 2**64."""
+    """Deterministic primality test for 0 <= n < 2**64.
+
+    Trial division by the twelve witnesses, then Miller-Rabin to the least
+    prefix of them that is proven to decide n (_MR_PREFIXES): two bases below
+    1,373,653, all twelve only from 3,825,123,056,546,413,051 on.
+    """
     _check_int(n)
     if n < 0 or n >= _INT64_LIMIT:
         raise DomainError(f"is_prime expects 0 <= n < 2**64, got {n}")
@@ -50,7 +61,10 @@ def is_prime(n: int) -> bool:
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    for a in _MR_WITNESSES:
+    for psi, k in _MR_PREFIXES:
+        if n < psi:
+            break
+    for a in _MR_WITNESSES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -122,17 +136,17 @@ def legendre_oracle(a: int, p: int) -> int:
     return 1 if a in _square_residues(p) else -1
 
 
-def _running_products(step: int, points: list[tuple[int, int]]) -> list[int]:
-    """(1 step)(2 step)...(n step) mod m for each (n, m) in points, n ascending.
+def _block_products(step: int, points: list[tuple[int, int]], acc: int, done: int) -> list[int]:
+    """acc * ((done+1) step)...(n step) mod m for each (n, m) in points, n ascending
+    from done on, given acc = (1 step)...(done step) modulo the product of the moduli.
 
-    Each multiple up to the last n is multiplied once, two consecutive ones
+    Each multiple after done up to the last n is multiplied once, two consecutive ones
     per reduction (an odd gap to the next n takes its first one alone),
     modulo the product of the moduli still pending, which every pending m
     divides; each point is read off at its n, its m then leaving the product.
     """
     pending = prod(m for _, m in points)
     products = []
-    acc, done = 1, 0  # acc = (1 step)(2 step)...(done step) mod pending
     for n, m in points:
         if (n - done) % 2:
             done += 1
@@ -145,12 +159,66 @@ def _running_products(step: int, points: list[tuple[int, int]]) -> list[int]:
     return products
 
 
+# points per block of the remainder tree; 1, 4, 8 and 16 took 12.5, 10.6, 9.7
+# and 9.4 ms on the first 1,500 Wilson points
+_BLOCK = 16
+
+
+def _moduli_tree(blocks: list[list[tuple[int, int]]]) -> tuple:
+    """(M,) for one block, else (M, left, right) over the two halves of the
+    blocks, M being the product of every modulus below."""
+    if len(blocks) == 1:
+        return (prod(m for _, m in blocks[0]),)
+    left, right = _moduli_tree(blocks[: len(blocks) // 2]), _moduli_tree(blocks[len(blocks) // 2 :])
+    return left[0] * right[0], left, right
+
+
+def _block_carry(step: int, done: int, n: int) -> int:
+    """((done+1) step)...(n step), exactly: the product a block carries right."""
+    return prod(range((done + 1) * step, n * step + 1, step))
+
+
+def _running_products(step: int, points: list[tuple[int, int]]) -> list[int]:
+    """(1 step)(2 step)...(n step) mod m for each (n, m) in points, n ascending.
+
+    Up to _BLOCK points take one running product (_block_products) from 1.
+    More are cut into blocks of _BLOCK and served by the accumulating
+    remainder tree of Costa, Gerbicz and Harvey over the blocks: the root
+    holds X = 1; a node sends X mod M_left to its left half and
+    X * (A_left mod M_right) mod M_right to its right half, A being the exact
+    product of the multiples a half spans and M the product of its moduli;
+    each block then runs its own running product from its X.  A block whose
+    A a later block reads multiplies its multiples a second time, exactly
+    (_block_carry), for the carry.
+    """
+    if len(points) <= _BLOCK:
+        return _block_products(step, points, 1, 0)
+    blocks = [points[i : i + _BLOCK] for i in range(0, len(points), _BLOCK)]
+    starts = [0] + [block[-1][0] for block in blocks]
+    products = []
+
+    def descend(tree: tuple, x: int, lo: int, hi: int, carry: bool) -> int:
+        """Serve blocks[lo:hi] from x; return their A if carry, else 1."""
+        if hi - lo == 1:
+            products.extend(_block_products(step, blocks[lo], x, starts[lo]))
+            return _block_carry(step, starts[lo], starts[hi]) if carry else 1
+        _, left, right = tree
+        mid = (lo + hi) // 2
+        a_left = descend(left, x % left[0], lo, mid, True)
+        a_right = descend(right, x * (a_left % right[0]) % right[0], mid, hi, carry)
+        return a_left * a_right if carry else 1
+
+    descend(_moduli_tree(blocks), 1, 0, len(blocks), False)
+    return products
+
+
 def factorial_residues(points: Iterable[tuple[int, int]]) -> list[int]:
-    """n! mod m for every (n, m) in points, in input order, from one running product.
+    """n! mod m for every (n, m) in points, in input order, from running products.
 
     All points are checked, and the factorial loop cap enforced, before any
     multiplication; :func:`_running_products` then takes every point with step
-    1, in ascending n.
+    1, in ascending n: one running product for up to 16 points, a remainder
+    tree over blocks of 16 running products for more.
     """
     points = list(points)
     for n, m in points:
@@ -175,7 +243,8 @@ def factorial_mod(n: int, m: int) -> int:
 
 
 def wilson_check(p: int) -> bool:
-    """True iff (p-1)! = -1 mod p, computed by the running product (factorial_mod)."""
+    """True iff (p-1)! = -1 mod p, computed by the one-point running product
+    (factorial_mod), which multiplies 2, 3, ..., p-1 themselves."""
     p = validate_odd_prime(p)
     return factorial_mod(p - 1, p) == p - 1
 

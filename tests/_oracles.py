@@ -18,6 +18,35 @@ def trial_division_is_prime(n):
     return True
 
 
+def primes_below_by_sieve(limit):
+    """All primes below limit, by crossing out every multiple of every prime
+    (sieve of Eratosthenes over all integers, even ones included)."""
+    composite = [False] * limit
+    primes = []
+    for n in range(2, limit):
+        if not composite[n]:
+            primes.append(n)
+            for multiple in range(n * n, limit, n):
+                composite[multiple] = True
+    return primes
+
+
+def strong_probable_prime(n, a):
+    """True iff odd n > a passes the strong Fermat test to base a: writing
+    n - 1 = 2^s * d with d odd, a^d = 1 or a^(2^i d) = -1 mod n for some i < s."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x == 1:
+        return True
+    for _ in range(s):
+        if x == n - 1:
+            return True
+        x = x * x % n
+    return False
+
+
 def torsion_by_factors(orders):
     """Two-torsion coordinate tuples from the per-factor solutions of 2x = 0.
 

@@ -146,13 +146,13 @@ class TestTorsionFaults:
             two_torsion_subgroup(AbelianGroup((4, 4)))
 
     def test_extended_table(self, codes):
-        codes(lambda n, table: table + [0])
+        codes(lambda n, table: table + b"\0")
         with pytest.raises(InternalCheckError, match="walked 25 elements"):
             two_torsion_subgroup(AbelianGroup((4, 4)))
 
     def test_mislabelled_flag_fails_the_rank_one_groups_with_that_factor(self, codes):
         # Z/6 has 2c = 0 at c = 0, 3 only: labelling c = 1 so too gives 3 solutions
-        codes(lambda n, table: table[:1] + [0] + table[2:] if n == 6 else table)
+        codes(lambda n, table: table[:1] + b"\0" + table[2:] if n == 6 else table)
         cases = random_factor_lists(200, 0)
         expected = [f"orders={o}" for o in cases if 6 in o and rank2(AbelianGroup(o)).rank == 1]
         assert 0 < len(expected) < sum(6 in o for o in cases)

@@ -80,14 +80,14 @@ class TestEnumerated:
 
     def test_codes(self):
         # 2c mod 8 = 0, 2, 4, 6, 0, 2, 4, 6: zero at c = 0, 4 and n/2 = 4 at c = 2, 6
-        assert abelian_core._doubling_codes(8) == [0, 2, 1, 2, 0, 2, 1, 2]
+        assert abelian_core._doubling_codes(8) == bytes([0, 2, 1, 2, 0, 2, 1, 2])
         # in Z/2 every 2c is 0, so n/2 = 1 is never hit; in Z/6, 2c is never 3
-        assert abelian_core._doubling_codes(2) == [0, 0]
-        assert abelian_core._doubling_codes(6) == [0, 2, 2, 0, 2, 2]
+        assert abelian_core._doubling_codes(2) == bytes([0, 0])
+        assert abelian_core._doubling_codes(6) == bytes([0, 2, 2, 0, 2, 2])
         # odd n has no n/2: in Z/3 and Z/5, 2c = 0 at c = 0 only and no code is 1
-        assert abelian_core._doubling_codes(1) == [0]
-        assert abelian_core._doubling_codes(3) == [0, 2, 2]
-        assert abelian_core._doubling_codes(5) == [0, 2, 2, 2, 2]
+        assert abelian_core._doubling_codes(1) == bytes([0])
+        assert abelian_core._doubling_codes(3) == bytes([0, 2, 2])
+        assert abelian_core._doubling_codes(5) == bytes([0, 2, 2, 2, 2])
 
     def test_seeded_generator_agreement(self):
         for orders in random_even_factor_lists(40, seed=20260810):
@@ -125,13 +125,13 @@ class TestTallyFaults:
             rank2_quotient_enumerated((4, 4))
 
     def test_extended_table(self, codes):
-        codes(lambda table: table + [0])
+        codes(lambda table: table + b"\0")
         with pytest.raises(InternalCheckError, match="walked 25 elements"):
             rank2_quotient_enumerated((4, 4))
 
     def test_corrupted_code(self, codes):
         # Z/6 has codes [0, 2, 2, 0, 2, 2]: relabelling c = 1 as 2c = 0 makes 3 solutions
-        codes(lambda table: table[:1] + [0] + table[2:])
+        codes(lambda table: table[:1] + b"\0" + table[2:])
         with pytest.raises(InternalCheckError, match="solution count 3"):
             rank2_quotient_enumerated((6,))
 

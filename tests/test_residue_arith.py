@@ -23,6 +23,8 @@ from recipro import (
 from _oracles import (
     factorial_by_running_product,
     multiples_by_running_term,
+    primes_below_by_sieve,
+    strong_probable_prime,
     trial_division_is_prime,
 )
 
@@ -56,6 +58,36 @@ class TestIsPrime:
             is_prime(1 << 64)
         with pytest.raises(DomainError):
             is_prime(2.0)
+
+
+class TestWitnessPrefixes:
+    """is_prime runs Miller-Rabin on the least prefix of its witnesses proven to
+    decide n: below psi_k, the least strong pseudoprime to the first k of them."""
+
+    # OEIS A014233, with the rows psi_8 = psi_7 and psi_10 = psi_11 = psi_9
+    # merged; psi_12 exceeds 2**64, so all twelve decide every n is_prime accepts
+    PUBLISHED = [
+        (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+        (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9), (2**64, 12),
+    ]
+
+    def test_table_is_the_published_one(self):
+        assert list(residue_arith._MR_PREFIXES) == self.PUBLISHED
+
+    def test_matches_sieve_below_1400000(self):
+        # one, two and three bases, across psi_1 = 2047 and psi_2 = 1373653
+        assert list(filter(is_prime, range(1_400_000))) == primes_below_by_sieve(1_400_000)
+
+    @pytest.mark.parametrize("psi,k", PUBLISHED[:-1])
+    def test_bound_is_tight(self, psi, k):
+        # psi passes the first k bases, so a shorter prefix would call it prime
+        assert all(strong_probable_prime(psi, a) for a in residue_arith._MR_WITNESSES[:k])
+        assert is_prime(psi) is False
+
+    @pytest.mark.parametrize("psi", [psi for psi, _ in PUBLISHED if psi <= 3474749660383])
+    def test_neighbours_match_trial_division(self, psi):
+        for n in (psi - 2, psi + 2):
+            assert is_prime(n) == trial_division_is_prime(n), n
 
 
 class TestValidateOddPrime:
@@ -192,6 +224,36 @@ class TestFactorialResidues:
         )
         assert factorial_mod(6, 7) == 6
         assert calls == [[(6, 7)]]
+
+
+class TestRemainderTree:
+    """More than 16 points go through the remainder tree over blocks of 16."""
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 200), st.integers(2, 60)), min_size=17, max_size=300)
+    )
+    @example([(0, 2)] * 9 + [(1, 3)] * 9)  # n in {0, 1} only: nothing to multiply
+    @example([(n // 3, 2 + n % 7) for n in range(300, 0, -1)])  # runs of n cut by blocks
+    @example([(n, 4) for n in range(17)] + [(60, 9)] * 40)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_running_product_pointwise(self, points):
+        # unsorted and repeated n, n in {0, 1}, repeated and composite moduli
+        assert factorial_residues(points) == [
+            factorial_by_running_product(n, m) for n, m in points
+        ]
+
+    @given(
+        st.integers(2, 10**6),
+        st.lists(st.tuples(st.integers(0, 200), st.integers(2, 60)), min_size=17, max_size=300),
+    )
+    @example(12, [(n, 2 + n % 13) for n in range(40)])
+    @settings(max_examples=60, deadline=None)
+    def test_step_matches_running_product_pointwise(self, step, points):
+        # (1 step)...(n step) = step^n * n! mod m
+        points = sorted(points)
+        assert residue_arith._running_products(step, points) == [
+            pow(step, n, m) * factorial_by_running_product(n, m) % m for n, m in points
+        ]
 
 
 class TestWilson:

@@ -128,6 +128,26 @@ class TestOneRunningProduct:
         self.assert_euler_fails_where_p_is_bad()
 
 
+class TestRemainderTreeCarry:
+    """The wilson suite's 300 points are cut into blocks of 16 (19 blocks);
+    each block but the last carries the exact product of its multiples to
+    every later block."""
+
+    @pytest.mark.parametrize("bad_block", [0, 5, 17])
+    def test_carry_fault_fails_exactly_the_later_primes(self, monkeypatch, bad_block):
+        primes, block = first_odd_primes(300), residue_arith._BLOCK
+        # a block starts after the last n, p - 1, of the block before it
+        starts = [0] + [p - 1 for p in primes[block - 1 :: block]]
+        exact = residue_arith._block_carry
+        monkeypatch.setattr(
+            residue_arith, "_block_carry",
+            lambda step, done, n: exact(step, done, n) + (done == starts[bad_block]),
+        )
+        later = [f"p={p}" for p in primes[block * (bad_block + 1) :]]
+        result = run_suite("wilson", 300, 0)
+        assert (result.n_fail, result.failures) == (len(later), tuple(later[:20]))
+
+
 class TestRunners:
     def test_lemma1(self):
         result = run_suite("lemma1", 30, 5)
