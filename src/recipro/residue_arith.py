@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress, zip_longest
-from math import isqrt, log, prod
+from math import isqrt, log, perm, prod
 from typing import Iterable
 
 from . import budget
@@ -159,8 +159,9 @@ def _block_products(step: int, points: list[tuple[int, int]], acc: int, done: in
     return products
 
 
-# points per block of the remainder tree; 1, 4, 8 and 16 took 12.5, 10.6, 9.7
-# and 9.4 ms on the first 1,500 Wilson points
+# points per block of the remainder tree, and lanes per batch of euler left
+# sides: blocks of 1, 4, 8 and 16 took 12.5, 10.6, 9.7 and 9.4 ms on the first
+# 1,500 Wilson points; 12 to 24 lanes ran fastest
 _BLOCK = 16
 
 
@@ -173,26 +174,19 @@ def _moduli_tree(blocks: list[list[tuple[int, int]]]) -> tuple:
     return left[0] * right[0], left, right
 
 
-def _block_carry(step: int, done: int, n: int) -> int:
-    """((done+1) step)...(n step), exactly: the product a block carries right."""
-    return prod(range((done + 1) * step, n * step + 1, step))
+def _running_products(points: list[tuple[int, int]]) -> list[int]:
+    """n! mod m for each (n, m) in points, n ascending.
 
-
-def _running_products(step: int, points: list[tuple[int, int]]) -> list[int]:
-    """(1 step)(2 step)...(n step) mod m for each (n, m) in points, n ascending.
-
-    Up to _BLOCK points take one running product (_block_products) from 1.
-    More are cut into blocks of _BLOCK and served by the accumulating
+    The points are cut into blocks of _BLOCK and served by the accumulating
     remainder tree of Costa, Gerbicz and Harvey over the blocks: the root
     holds X = 1; a node sends X mod M_left to its left half and
     X * (A_left mod M_right) mod M_right to its right half, A being the exact
-    product of the multiples a half spans and M the product of its moduli;
-    each block then runs its own running product from its X.  A block whose
-    A a later block reads multiplies its multiples a second time, exactly
-    (_block_carry), for the carry.
+    product of the integers a half spans and M the product of its moduli;
+    each block then runs its own running product (_block_products) from its
+    X.  A block whose A a later block reads takes it from one math.perm.
     """
-    if len(points) <= _BLOCK:
-        return _block_products(step, points, 1, 0)
+    if not points:
+        return []
     blocks = [points[i : i + _BLOCK] for i in range(0, len(points), _BLOCK)]
     starts = [0] + [block[-1][0] for block in blocks]
     products = []
@@ -200,8 +194,8 @@ def _running_products(step: int, points: list[tuple[int, int]]) -> list[int]:
     def descend(tree: tuple, x: int, lo: int, hi: int, carry: bool) -> int:
         """Serve blocks[lo:hi] from x; return their A if carry, else 1."""
         if hi - lo == 1:
-            products.extend(_block_products(step, blocks[lo], x, starts[lo]))
-            return _block_carry(step, starts[lo], starts[hi]) if carry else 1
+            products.extend(_block_products(1, blocks[lo], x, starts[lo]))
+            return perm(starts[hi], starts[hi] - starts[lo]) if carry else 1
         _, left, right = tree
         mid = (lo + hi) // 2
         a_left = descend(left, x % left[0], lo, mid, True)
@@ -216,9 +210,9 @@ def factorial_residues(points: Iterable[tuple[int, int]]) -> list[int]:
     """n! mod m for every (n, m) in points, in input order, from running products.
 
     All points are checked, and the factorial loop cap enforced, before any
-    multiplication; :func:`_running_products` then takes every point with step
-    1, in ascending n: one running product for up to 16 points, a remainder
-    tree over blocks of 16 running products for more.
+    multiplication; :func:`_running_products` then takes every point, in
+    ascending n, through a remainder tree over blocks of 16 running products
+    (one block, and no tree node, for up to 16 points).
     """
     points = list(points)
     for n, m in points:
@@ -232,7 +226,7 @@ def factorial_residues(points: Iterable[tuple[int, int]]) -> list[int]:
     budget.require_within(top, budget.FACTORIAL_LOOP_CAP, "factorial loop")
     order = sorted(range(len(points)), key=lambda i: points[i][0])
     residues = [0] * len(points)
-    for i, r in zip(order, _running_products(1, [points[i] for i in order])):
+    for i, r in zip(order, _running_products([points[i] for i in order])):
         residues[i] = r
     return residues
 
@@ -252,17 +246,12 @@ def wilson_check(p: int) -> bool:
 def _products_of_multiples(lanes: list[tuple[int, int]]) -> list[int]:
     """(qu)(2 qu)...((p-1)/2 * qu) mod p for each lane (qu, p), primes distinct, ascending.
 
-    One step = qu (mod p) for every lane, by CRT, whose running products are
-    read off at ((p-1)/2, p).
+    One step = qu (mod p) for every lane, by CRT, whose running product
+    (_block_products) is read off at ((p-1)/2, p).
     """
     pending = prod(p for _, p in lanes)
     step = sum(qu * (c := pending // p) * pow(c, -1, p) for qu, p in lanes) % pending
-    return _running_products(step, [((p - 1) // 2, p) for _, p in lanes])
-
-
-# the k-th case of each of _EULER_LANES consecutive distinct primes is a lane of
-# one batch of euler left sides; 12 to 24 lanes ran fastest
-_EULER_LANES = 16
+    return _block_products(step, [((p - 1) // 2, p) for _, p in lanes], 1, 0)
 
 
 def _euler_failures(cases: list[tuple[int, int]]) -> set[int]:
@@ -271,7 +260,7 @@ def _euler_failures(cases: list[tuple[int, int]]) -> set[int]:
     Each distinct p is tested for primality once, in order of first
     appearance, and one factorial_residues call takes every half factorial
     before any multiple is taken.  The distinct primes, ascending, are cut
-    into windows of _EULER_LANES; the k-th case of each prime in a window is
+    into windows of _BLOCK; the k-th case of each prime in a window is
     a lane of the window's k-th batch of left sides.
     """
     # every p is an int before any is hashed, so 7.0 or [7] raises DomainError
@@ -282,8 +271,8 @@ def _euler_failures(cases: list[tuple[int, int]]) -> set[int]:
         cases_of[p].append(i)
     queues = list(cases_of.values())
     failures = set()
-    for w in range(0, len(queues), _EULER_LANES):
-        for batch in zip_longest(*queues[w : w + _EULER_LANES]):
+    for w in range(0, len(queues), _BLOCK):
+        for batch in zip_longest(*queues[w : w + _BLOCK]):
             batch = [i for i in batch if i is not None]
             lanes = [(_unit_mod(qv, p), p) for qv, p in map(cases.__getitem__, batch)]
             for i, (qu, p), left in zip(batch, lanes, _products_of_multiples(lanes)):
@@ -306,7 +295,7 @@ def euler_criterion_check(q: int, p: int) -> bool:
 
 def odd_primes_up_to(n: int) -> list[int]:
     """All odd primes <= n, ascending (sieve of Eratosthenes over the odd numbers)."""
-    if n < 3:
+    if _check_int(n, "bound") < 3:
         return []
     sieve = bytearray([1]) * (n + 1)
     for i in range(3, isqrt(n) + 1, 2):
@@ -320,7 +309,7 @@ def first_odd_primes(count: int) -> list[int]:
 
     The sieve has no cap of its own; callers bound `count`.
     """
-    if count < 0:
+    if _check_int(count, "count") < 0:
         raise DomainError(f"count must be nonnegative, got {count}")
     n = count + 1  # the last one needed is the n-th prime, 2 being skipped
     # Rosser: p_n < n (ln n + ln ln n) for n >= 6; below that p_n <= p_5 = 11

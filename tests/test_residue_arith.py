@@ -227,7 +227,7 @@ class TestFactorialResidues:
 
 
 class TestRemainderTree:
-    """More than 16 points go through the remainder tree over blocks of 16."""
+    """More than 16 points make a remainder tree of more than one block of 16."""
 
     @given(
         st.lists(st.tuples(st.integers(0, 200), st.integers(2, 60)), min_size=17, max_size=300)
@@ -235,24 +235,13 @@ class TestRemainderTree:
     @example([(0, 2)] * 9 + [(1, 3)] * 9)  # n in {0, 1} only: nothing to multiply
     @example([(n // 3, 2 + n % 7) for n in range(300, 0, -1)])  # runs of n cut by blocks
     @example([(n, 4) for n in range(17)] + [(60, 9)] * 40)
+    # the first block spans about 80,000 integers, carried right by one math.perm
+    @example([(80_000 + i, 10**9 + 7) for i in range(17)])
     @settings(max_examples=100, deadline=None)
     def test_matches_running_product_pointwise(self, points):
         # unsorted and repeated n, n in {0, 1}, repeated and composite moduli
         assert factorial_residues(points) == [
             factorial_by_running_product(n, m) for n, m in points
-        ]
-
-    @given(
-        st.integers(2, 10**6),
-        st.lists(st.tuples(st.integers(0, 200), st.integers(2, 60)), min_size=17, max_size=300),
-    )
-    @example(12, [(n, 2 + n % 13) for n in range(40)])
-    @settings(max_examples=60, deadline=None)
-    def test_step_matches_running_product_pointwise(self, step, points):
-        # (1 step)...(n step) = step^n * n! mod m
-        points = sorted(points)
-        assert residue_arith._running_products(step, points) == [
-            pow(step, n, m) * factorial_by_running_product(n, m) % m for n, m in points
         ]
 
 
@@ -360,6 +349,16 @@ class TestPrimeListing:
         assert odd_primes_up_to(9) == odd_primes_up_to(10) == [3, 5, 7]
         assert odd_primes_up_to(3) == [3]
         assert odd_primes_up_to(2) == odd_primes_up_to(1) == odd_primes_up_to(0) == []
+
+    @pytest.mark.parametrize("n", [10.0, True, "10", None])
+    def test_odd_primes_rejects_non_int(self, n):
+        with pytest.raises(DomainError, match="must be an integer"):
+            odd_primes_up_to(n)
+
+    @pytest.mark.parametrize("count", [2.5, True, "3", None])
+    def test_first_odd_primes_rejects_non_int(self, count):
+        with pytest.raises(DomainError, match="must be an integer"):
+            first_odd_primes(count)
 
     def test_first_odd_primes(self):
         assert first_odd_primes(5) == [3, 5, 7, 11, 13]

@@ -76,17 +76,17 @@ def perturb_residues(monkeypatch, bad_moduli):
 
 
 def perturb_running_products(monkeypatch, bad_moduli, faulty_step):
-    """Make residue_arith._running_products answer (r + 1) mod m wherever m is in
+    """Make residue_arith._block_products answer (r + 1) mod m wherever m is in
     bad_moduli, in the calls whose step satisfies faulty_step."""
-    exact = residue_arith._running_products
+    exact = residue_arith._block_products
 
-    def faulty(step, points):
+    def faulty(step, points, acc, done):
         return [
             (r + 1) % m if faulty_step(step) and m in bad_moduli else r
-            for (_, m), r in zip(points, exact(step, points))
+            for (_, m), r in zip(points, exact(step, points, acc, done))
         ]
 
-    monkeypatch.setattr(residue_arith, "_running_products", faulty)
+    monkeypatch.setattr(residue_arith, "_block_products", faulty)
 
 
 class TestOneRunningProduct:
@@ -130,18 +130,17 @@ class TestOneRunningProduct:
 
 class TestRemainderTreeCarry:
     """The wilson suite's 300 points are cut into blocks of 16 (19 blocks);
-    each block but the last carries the exact product of its multiples to
-    every later block."""
+    each block but the last carries the exact product of the integers it
+    spans, one math.perm, to every later block."""
 
     @pytest.mark.parametrize("bad_block", [0, 5, 17])
     def test_carry_fault_fails_exactly_the_later_primes(self, monkeypatch, bad_block):
         primes, block = first_odd_primes(300), residue_arith._BLOCK
         # a block starts after the last n, p - 1, of the block before it
         starts = [0] + [p - 1 for p in primes[block - 1 :: block]]
-        exact = residue_arith._block_carry
+        exact = residue_arith.perm
         monkeypatch.setattr(
-            residue_arith, "_block_carry",
-            lambda step, done, n: exact(step, done, n) + (done == starts[bad_block]),
+            residue_arith, "perm", lambda n, k: exact(n, k) + (n - k == starts[bad_block])
         )
         later = [f"p={p}" for p in primes[block * (bad_block + 1) :]]
         result = run_suite("wilson", 300, 0)
