@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from operator import getitem, itemgetter, mod
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from . import budget
@@ -75,14 +75,14 @@ def element_order(G: AbelianGroup, coords: tuple[int, ...]) -> int:
 def _doubling_codes(n: int) -> bytes:
     """code[c] for c in Z/n: 0 when 2c = 0, 1 when 2c = n/2 (n even), 2 otherwise.
 
-    Every 2c mod n is computed and looked up in a table of the n values it can
-    take, all by C-level maps, one byte per coordinate.
+    A table of the code of each value 2c mod n can take is read at 2c mod n by
+    two C-level slices, one byte per coordinate.
     """
     code_of = bytearray([2]) * n
     code_of[n // 2] = 1 + n % 2  # 1 at n/2 for even n; for odd n, (n-1)/2 keeps 2
     code_of[0] = 0
-    doubled = map(mod, range(0, 2 * n, 2), itertools.repeat(n))  # 2c mod n, c = 0, ..., n - 1
-    return bytes(map(getitem, itertools.repeat(code_of), doubled))
+    # c < n/2 reads 2c; the rest read 2c - n: the evens again for even n, the odds for odd n
+    return bytes(code_of[0::2] + code_of[n % 2::2])
 
 
 # combine tables for codes: 0 while every code is 0, 1 while every code is 1, else 2

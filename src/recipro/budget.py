@@ -2,7 +2,7 @@
 
 The function that does the work checks its cap before starting: a walk over
 a whole group, the pass over a transversal, a factorial running product, a
-suite's case list, the square oracle.  Over the cap it raises
+suite's case list, the square oracle, the prime sieve.  Over the cap it raises
 :class:`~recipro.errors.CapacityError` instead of running away.  There is no
 override, so a result depends only on the arguments.
 """
@@ -14,6 +14,7 @@ STREAM_PRODUCT_CAP = 1 << 21     # transversal product, one pass over 0 < k < pq
 FACTORIAL_LOOP_CAP = 10_000_000  # factorial running products, largest n
 SUITE_CASE_CAP = 100_000         # cases per run of every suite
 SQUARE_ORACLE_CAP = 100_000      # square-enumeration oracle, bound on the modulus
+SIEVE_CAP = 1 << 21              # prime sieve, bound on the largest number sieved
 
 
 def require_within(size: int, cap: int, what: str) -> None:

@@ -32,6 +32,7 @@ import stat
 import sys
 import threading
 from datetime import datetime, timezone
+from math import prod
 from typing import Iterator, Sequence, TextIO
 
 from . import __version__
@@ -170,15 +171,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.max < 0:
         raise DomainError(f"--max must be nonnegative, got {args.max}")
-    stream_cap = budget.STREAM_PRODUCT_CAP
-    if args.max > stream_cap:
-        raise DomainError(f"--max {args.max} is over the enumeration cap {stream_cap}")
     primes = odd_primes_up_to(args.max)
-    if len(primes) >= 2 and primes[-1] * primes[-2] > stream_cap:
-        raise DomainError(
-            f"sweep to {args.max} would need pair products up to "
-            f"{primes[-1] * primes[-2]}, over the cap {stream_cap}"
-        )
+    # the last two primes are the largest pair: refuse the sweep before any pair is verified
+    budget.require_within(prod(primes[-2:]), budget.STREAM_PRODUCT_CAP, "transversal")
     return _verify_and_report(args, [("max", args.max)],
                               [(p, q) for i, p in enumerate(primes) for q in primes[i + 1 :]])
 

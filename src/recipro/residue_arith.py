@@ -297,6 +297,7 @@ def odd_primes_up_to(n: int) -> list[int]:
     """All odd primes <= n, ascending (sieve of Eratosthenes over the odd numbers)."""
     if _check_int(n, "bound") < 3:
         return []
+    budget.require_within(n, budget.SIEVE_CAP, "prime sieve")
     sieve = bytearray([1]) * (n + 1)
     for i in range(3, isqrt(n) + 1, 2):
         if sieve[i]:
@@ -305,10 +306,7 @@ def odd_primes_up_to(n: int) -> list[int]:
 
 
 def first_odd_primes(count: int) -> list[int]:
-    """The first `count` odd primes, ascending, from one sieve up to Rosser's bound.
-
-    The sieve has no cap of its own; callers bound `count`.
-    """
+    """The first `count` odd primes, ascending, from one sieve up to Rosser's bound."""
     if _check_int(count, "count") < 0:
         raise DomainError(f"count must be nonnegative, got {count}")
     n = count + 1  # the last one needed is the n-th prime, 2 being skipped

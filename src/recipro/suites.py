@@ -73,7 +73,7 @@ def random_even_factor_lists(n_cases: int, seed: int) -> list[tuple[int, ...]]:
 
     Per case: draw k = randint(1, 4), then k choices from
     (2, 4, 6, 8, 10, 12, 16, 20).  Products never exceed 20**4 = 160000,
-    which is inside the group enumeration cap of 2**22.
+    which is inside budget.GROUP_ENUM_CAP = 2**22.
     """
     rng = random.Random(seed)
     out = []

@@ -153,6 +153,22 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "2099597" in err
 
+    def test_over_cap_sweep_is_refused_as_verify_refuses_its_pair(self, capsys):
+        assert main(["sweep", "--max", "1451"]) == 2
+        sweep_err = capsys.readouterr().err
+        assert main(["verify", "--p", "1447", "--q", "1451"]) == 2
+        assert capsys.readouterr().err == sweep_err
+        assert sweep_err == "error: transversal needs 2099597 steps, over the cap of 2097152\n"
+
+    def test_max_over_the_sieve_cap_exits_2_without_sieving(self, monkeypatch, capsys):
+        def refuse_sieve(size):
+            raise AssertionError("the sieve was allocated before its cap was checked")
+
+        monkeypatch.setattr("recipro.residue_arith.bytearray", refuse_sieve, raising=False)
+        assert main(["sweep", "--max", str(budget.SIEVE_CAP + 1)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "prime sieve" in err
+
     def test_determinism_csv(self):
         first = run_cli("sweep", "--max", "60", "--seed", "1")
         second = run_cli("sweep", "--max", "60", "--seed", "1")
@@ -532,7 +548,7 @@ class TestNoTraceback:
                   optional(choice_flag("--out", outs)), optional(int_flag("--seed", *seeds)))
         ints = (st.sampled_from(odd_primes_up_to(60)), SMALL_INTS, EDGE_INTS)
         # --max and --n are small, or so far over their cap that they are refused unrun
-        over_sweep_cap = st.integers(budget.STREAM_PRODUCT_CAP + 1, 2**70)
+        over_sweep_cap = st.integers(budget.SIEVE_CAP + 1, 2**70)
         over_case_caps = st.integers(budget.SUITE_CASE_CAP + 1, 2**70)
         argv = data.draw(st.one_of(
             argv_for("verify", int_flag("--p", *ints), int_flag("--q", *ints), *report),

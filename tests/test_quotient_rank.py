@@ -89,6 +89,13 @@ class TestEnumerated:
         assert abelian_core._doubling_codes(3) == bytes([0, 2, 2])
         assert abelian_core._doubling_codes(5) == bytes([0, 2, 2, 2, 2])
 
+    def test_codes_match_per_coordinate_reference(self):
+        # n up to 300 covers every n mod 4, so both slices meet every parity of n
+        for n in range(1, 301):
+            reference = bytes(0 if 2 * c % n == 0 else 1 if 2 * (2 * c % n) == n else 2
+                              for c in range(n))
+            assert abelian_core._doubling_codes(n) == reference, n
+
     def test_seeded_generator_agreement(self):
         for orders in random_even_factor_lists(40, seed=20260810):
             assert rank2_quotient_enumerated(orders) == rank2_quotient_formula(orders)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -380,6 +381,22 @@ class TestPrimeListing:
         assert first_odd_primes(1000)[-1] == 7927  # p_1001
         assert first_odd_primes(25)[-1] == 101  # p_26
         assert len(bounds) == 2 and bounds[0] < 10**4 and bounds[1] < 200
+
+    def test_sieve_refuses_over_its_cap_before_allocating(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the sieve was allocated before its cap was checked")
+
+        monkeypatch.setattr(residue_arith, "bytearray", refuse, raising=False)
+        with pytest.raises(CapacityError, match="prime sieve"):
+            odd_primes_up_to(budget.SIEVE_CAP + 1)
+
+    def test_sieve_admits_its_cap(self):
+        assert odd_primes_up_to(budget.SIEVE_CAP)[-1] == 2097143
+
+    def test_rosser_bound_at_the_case_cap_is_within_the_sieve_cap(self):
+        # first_odd_primes(count) sieves up to Rosser's bound on the (count+1)-th prime
+        n = budget.SUITE_CASE_CAP + 1
+        assert int(n * (math.log(n) + math.log(math.log(n)))) + 1 <= budget.SIEVE_CAP
 
     def test_sieve_matches_miller_rabin(self):
         sieved = set(odd_primes_up_to(5000))
