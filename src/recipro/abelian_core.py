@@ -10,9 +10,9 @@ walks the whole group is capacity-checked first.  The walks in
 two_torsion_subgroup and sum_all_elements visit every element with no Python
 bytecode per element: sum_all_elements through itertools and builtins, and
 two_torsion_subgroup through _doubling_walk, which gives every element g one
-state byte saying whether 2g is 0, (n_1/2, ..., n_k/2) or neither, built from
-all its coordinates by bytes.translate and bytes.join.  quotient_rank counts
-the same bytes.
+state byte saying whether 2g is 0, (n_1/2, ..., n_k/2) or neither, built one
+factor at a time by writing copies of the walk so far into a buffer of state
+2 bytes.  quotient_rank counts the same bytes.
 
 Values are immutable after construction and all operations are pure
 functions, so everything here may be used concurrently without locking.
@@ -21,6 +21,7 @@ functions, so everything here may be used concurrently without locking.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 from operator import itemgetter
@@ -85,31 +86,28 @@ def _doubling_codes(n: int) -> bytes:
     return bytes(code_of[0::2] + code_of[n % 2::2])
 
 
-# combine tables for codes: 0 while every code is 0, 1 while every code is 1, else 2
-_SAME = tuple(bytes(s if t == s else 2 for t in range(256)) for s in range(3))
-
-
 def _doubling_walk(orders: Sequence[int]) -> bytes:
     """One state byte per element g of Z/n_1 x ... x Z/n_k, in enumeration
     order: 0 when 2g = 0, 1 when 2g = (n_1/2, ..., n_k/2), 2 otherwise.
 
     Each factor's doubling codes are tabulated once.  The walk over the last
-    factor is its code table; each slower factor joins, in the order of its
-    table, one copy of the walk so far per distinct code s, translated by
-    _SAME[s], so no Python code runs per element.  With no factors there is
-    one element, in state 0.  The walk must cover |G| elements; anything else
-    signals a bug in this package, hence InternalCheckError.
+    factor is its code table; each slower factor grows it to one block of
+    state 2 per table entry, then one regex scan finds the codes s = 0 or 1
+    (c = 0, n/4, n/2, 3n/4 at most) and writes the walk so far, its state
+    1 - s turned into 2, into their blocks, so no Python code runs per
+    element.  With no factors there is one element, in state 0.  The walk must
+    cover |G| elements; anything else is a bug here, hence InternalCheckError.
     """
     order = prod(orders)
     budget.require_within(order, budget.GROUP_ENUM_CAP, "group enumeration")
     walk = _doubling_codes(orders[-1]) if orders else b"\x00"
     for n in reversed(orders[:-1]):
         table = _doubling_codes(n)
-        copies = {s: walk.translate(_SAME[s]) for s in set(table)}
-        del walk  # the walk being joined and its copies then hold at most about 2|G| bytes
-        # bytes.join holds an 80-byte buffer per piece, so pieces go in 4096 at a time
-        walk = b"".join([b"".join(map(copies.__getitem__, table[i:i + 4096]))
-                         for i in range(0, len(table), 4096)])
+        grown = bytearray([2]) * (len(table) * len(walk))
+        for low in re.finditer(b"[\x00\x01]", table):
+            c, s = low.start(), table[low.start()]
+            grown[c * len(walk) : (c + 1) * len(walk)] = walk.replace(bytes([1 - s]), b"\x02")
+        walk = grown
     if len(walk) != order:
         raise InternalCheckError(f"walked {len(walk)} elements of a group of order {order}")
     return walk

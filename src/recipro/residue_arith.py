@@ -121,19 +121,23 @@ def euler_symbol(a: int, p: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _square_residues(p: int) -> frozenset[int]:
-    return frozenset(x * x % p for x in range(1, (p - 1) // 2 + 1))
+def _square_residues(p: int) -> bytes:
+    squares = bytearray(p)
+    for x in range(1, (p - 1) // 2 + 1):
+        squares[x * x % p] = 1
+    return bytes(squares)
 
 
 def legendre_oracle(a: int, p: int) -> int:
     """Legendre symbol by enumerating the nonzero squares modulo p.
 
-    Independent of :func:`legendre_euler`; O(p), hence capped.
+    Independent of :func:`legendre_euler`; O(p), hence capped.  The squares
+    are cached per prime as one byte per residue, 1 iff a nonzero square.
     """
     p = validate_odd_prime(p)
     budget.require_within(p, budget.SQUARE_ORACLE_CAP, "square enumeration")
     a = _unit_mod(a, p)
-    return 1 if a in _square_residues(p) else -1
+    return 1 if _square_residues(p)[a] else -1
 
 
 def _block_products(step: int, points: list[tuple[int, int]], acc: int, done: int) -> list[int]:
@@ -179,16 +183,17 @@ def _running_products(points: list[tuple[int, int]]) -> list[int]:
 
     The points are cut into blocks of _BLOCK and served by the accumulating
     remainder tree of Costa, Gerbicz and Harvey over the blocks: the root
-    holds X = 1; a node sends X mod M_left to its left half and
-    X * (A_left mod M_right) mod M_right to its right half, A being the exact
-    product of the integers a half spans and M the product of its moduli;
-    each block then runs its own running product (_block_products) from its
-    X.  A block whose A a later block reads takes it from one math.perm.
+    holds X = n_0! mod M_root, n_0 being the least n; a node sends X mod
+    M_left to its left half and X * (A_left mod M_right) mod M_right to its
+    right half, A being the exact product of the integers a half spans and M
+    the product of its moduli.  The root's X and each block, from its X and
+    its first n on, are running products (_block_products); a block whose A
+    a later block reads takes it from one math.perm.
     """
     if not points:
         return []
     blocks = [points[i : i + _BLOCK] for i in range(0, len(points), _BLOCK)]
-    starts = [0] + [block[-1][0] for block in blocks]
+    starts = [points[0][0]] + [block[-1][0] for block in blocks]
     products = []
 
     def descend(tree: tuple, x: int, lo: int, hi: int, carry: bool) -> int:
@@ -202,7 +207,8 @@ def _running_products(points: list[tuple[int, int]]) -> list[int]:
         a_right = descend(right, x * (a_left % right[0]) % right[0], mid, hi, carry)
         return a_left * a_right if carry else 1
 
-    descend(_moduli_tree(blocks), 1, 0, len(blocks), False)
+    tree = _moduli_tree(blocks)
+    descend(tree, _block_products(1, [(starts[0], tree[0])], 1, 0)[0], 0, len(blocks), False)
     return products
 
 

@@ -138,6 +138,11 @@ class TestLegendre:
             for a in range(1, p):
                 assert legendre_euler(a, p) == legendre_oracle(a, p), (a, p)
 
+    def test_euler_equals_oracle_at_the_largest_prime_below_the_cap(self):
+        p = 99991
+        assert len(residue_arith._square_residues(p)) == p  # one byte per residue
+        assert all(legendre_oracle(a, p) == legendre_euler(a, p) for a in range(1, p))
+
     def test_residue_census(self):
         for p in odd_primes_up_to(100):
             plus = sum(1 for a in range(1, p) if legendre_euler(a, p) == 1)
@@ -236,7 +241,7 @@ class TestRemainderTree:
     @example([(0, 2)] * 9 + [(1, 3)] * 9)  # n in {0, 1} only: nothing to multiply
     @example([(n // 3, 2 + n % 7) for n in range(300, 0, -1)])  # runs of n cut by blocks
     @example([(n, 4) for n in range(17)] + [(60, 9)] * 40)
-    # the first block spans about 80,000 integers, carried right by one math.perm
+    # the root's X is one running product over about 80,000 integers
     @example([(80_000 + i, 10**9 + 7) for i in range(17)])
     @settings(max_examples=100, deadline=None)
     def test_matches_running_product_pointwise(self, points):
@@ -244,6 +249,20 @@ class TestRemainderTree:
         assert factorial_residues(points) == [
             factorial_by_running_product(n, m) for n, m in points
         ]
+
+    def test_far_first_point_carries_no_long_span(self, monkeypatch):
+        # 17 points near 10^6 make two blocks; block 0 starts at its least n,
+        # so its carry spans 16 integers and not every integer below 10^6
+        exact = residue_arith.perm
+
+        def short_perm(n, k):
+            if k > 10**5:
+                raise AssertionError(f"perm({n}, {k}) spans over 10^5 integers")
+            return exact(n, k)
+
+        monkeypatch.setattr(residue_arith, "perm", short_perm)
+        points = [(10**6 - 17 + i, 10**9 + 7) for i in range(17)]
+        assert factorial_residues(points) == residue_arith._block_products(1, points, 1, 0)
 
 
 class TestWilson:

@@ -136,8 +136,9 @@ class TestRemainderTreeCarry:
     @pytest.mark.parametrize("bad_block", [0, 5, 17])
     def test_carry_fault_fails_exactly_the_later_primes(self, monkeypatch, bad_block):
         primes, block = first_odd_primes(300), residue_arith._BLOCK
-        # a block starts after the last n, p - 1, of the block before it
-        starts = [0] + [p - 1 for p in primes[block - 1 :: block]]
+        # block 0 starts at the least n, 3 - 1; every later block after the
+        # last n, p - 1, of the block before it
+        starts = [primes[0] - 1] + [p - 1 for p in primes[block - 1 :: block]]
         exact = residue_arith.perm
         monkeypatch.setattr(
             residue_arith, "perm", lambda n, k: exact(n, k) + (n - k == starts[bad_block])
