@@ -38,7 +38,12 @@ class AbelianGroup:
     factor_orders: tuple[int, ...]
 
     def __post_init__(self):
-        orders = tuple(self.factor_orders)
+        try:
+            orders = tuple(self.factor_orders)
+        except TypeError:
+            raise DomainError(
+                f"factor orders must be an iterable of integers, got {self.factor_orders!r}"
+            ) from None
         for n in orders:
             if not isinstance(n, int) or isinstance(n, bool) or n < 1:
                 raise DomainError(f"factor orders must be integers >= 1, got {n!r}")

@@ -13,7 +13,9 @@ quotient; the relation that rank predicts between (q/p) and (p/q); and the
 reciprocity identity for the same two symbols.  The representatives are
 described by one keep-mask over k, built once per pair when the transversal
 is built; the product counts it and the validation checks those same bytes.
-Every k is read once per modulus and no closed form enters the product.
+A mask that fits in one band is read once for both moduli, a longer one
+once per modulus in bands; either way every k is read and no closed form
+enters the product.
 All named checks are recorded; a failure never aborts the remaining checks.
 
 Pure functions throughout; sweeps over many pairs may run concurrently.
@@ -32,9 +34,12 @@ from .residue_arith import euler_symbol, validate_odd_prime
 RELATION_EQUAL = 1
 RELATION_OPPOSITE = -1
 
-# int.from_bytes costs least per byte on reads of about 4-20 KB; a band of
-# rows up to this long also keeps each halving of the band sum cheap.
-_BAND_BYTES = 4096
+# int.from_bytes costs least per byte on reads of about 4-20 KB, and a band
+# of rows up to this long keeps each halving of the band sum cheap.  A mask
+# no longer than one band is read once for both moduli; a longer one is
+# read in bands once per modulus, since one whole-mask read folded twice
+# was timed slower on masks of 0.5 MB and more.
+_BAND_BYTES = 16384
 
 
 class UnitPair(NamedTuple):
@@ -85,17 +90,19 @@ def build_transversal(p: int, q: int) -> Transversal:
     return Transversal(p, q)
 
 
-def _product_mod(keep: bytearray, m: int) -> int:
+def _product_mod(keep: bytearray, m: int, whole: int | None = None) -> int:
     """Product of the marked k, mod m, for any 0/1 mask over k = 0, 1, ...
 
     The mask is cut into at most 255 rows of width w, the least multiple of
-    m that leaves no more rows.  It is read in bands of whole rows, at most
-    _BAND_BYTES long (one row when w is wider), and the bands are added as
-    little-endian ints.  The band sum is then halved at a row boundary,
-    its upper rows added onto its lower ones, until one row is left, so
-    byte x of that row counts the marked k = x (mod w).  Each byte only
-    ever sums the bytes of distinct rows, so no byte carries into the
-    next.  As m divides w, those k are all x (mod m), so the product is
+    m that leaves no more rows.  Given whole, the mask read as one
+    little-endian int, all of its rows are folded from that int.  Otherwise
+    the mask is read in bands of whole rows, at most _BAND_BYTES long (one
+    row when w is wider), and the bands are added as little-endian ints.
+    The sum is then halved at a row boundary, its upper rows added onto its
+    lower ones, until one row is left, so byte x of that row counts the
+    marked k = x (mod w).  Each byte only ever sums the bytes of distinct
+    rows, so no byte carries into the next.  As m divides w, those k are
+    all x (mod m), so the product is
     prod_x x^(c_x) = prod_c (prod of the x with c_x = c)^c (mod m), c_x the
     count in byte x: each x is multiplied into the slot of its count and
     each slot is raised to its count once.  A marked multiple of m makes
@@ -104,10 +111,13 @@ def _product_mod(keep: bytearray, m: int) -> int:
     n = len(keep)
     w = m * max(1, -(-n // (255 * m)))
     rows = -(-n // w)
-    band = max(1, min(rows, _BAND_BYTES // w))
-    step = band * w
-    view = memoryview(keep)
-    total = sum(int.from_bytes(view[i : i + step], "little") for i in range(0, n, step))
+    if whole is None:
+        band = max(1, min(rows, _BAND_BYTES // w))
+        step = band * w
+        view = memoryview(keep)
+        total = sum(int.from_bytes(view[i : i + step], "little") for i in range(0, n, step))
+    else:
+        band, total = rows, whole
     while band > 1:
         band = -(-band // 2)
         total = (total & ((1 << 8 * w * band) - 1)) + (total >> 8 * w * band)
@@ -123,14 +133,20 @@ def _product_mod(keep: bytearray, m: int) -> int:
 
 
 def product_over_transversal(L: Transversal) -> UnitPair:
-    """Componentwise product of all entries, read off L.mask once per modulus.
+    """Componentwise product of all entries, read off L.mask.
 
     The mask is the one built with L, the same bytes verify_transversal
-    checks.  The coordinate mod m is the product of r^(number of marked
-    k = r mod m) over all residues r, counted by _product_mod; every k is
-    read and the entries are never formed.
+    checks.  A mask of at most _BAND_BYTES is read once, as one int that
+    _product_mod folds for p and for q; a longer one is read in bands once
+    per modulus.  The coordinate mod m is the product of r^(number of
+    marked k = r mod m) over all residues r, counted by _product_mod; every
+    k is read and the entries are never formed.
     """
-    return UnitPair(_product_mod(L.mask, L.p), _product_mod(L.mask, L.q))
+    if not isinstance(L, Transversal):
+        raise DomainError(f"product_over_transversal needs a Transversal, got {L!r}")
+    keep = L.mask
+    whole = int.from_bytes(keep, "little") if len(keep) <= _BAND_BYTES else None
+    return UnitPair(_product_mod(keep, L.p, whole), _product_mod(keep, L.q, whole))
 
 
 def _closed_form(p: int, q: int, leg_qp: int, leg_pq: int) -> UnitPair:
@@ -164,6 +180,8 @@ def verify_transversal(L: Transversal) -> bool:
     lies in (0, pq/2), so marking only units, and as many as there are
     pairs, marks every lower-half unit and hence one k per coset.
     """
+    if not isinstance(L, Transversal):
+        raise DomainError(f"verify_transversal needs a Transversal, got {L!r}")
     p, q, keep = L.p, L.q, L.mask
     return (
         len(keep) == p * q // 2 + 1

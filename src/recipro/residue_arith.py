@@ -221,7 +221,11 @@ def factorial_residues(points: Iterable[tuple[int, int]]) -> list[int]:
     (one block, and no tree node, for up to 16 points).
     """
     points = list(points)
-    for n, m in points:
+    for point in points:
+        try:
+            n, m = point
+        except (TypeError, ValueError):
+            raise DomainError(f"factorial points must be (n, m) pairs, got {point!r}") from None
         _check_int(n)
         _check_int(m, "modulus")
         if n < 0:

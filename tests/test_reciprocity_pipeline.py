@@ -164,25 +164,31 @@ class TestProduct:
 
     @pytest.mark.parametrize(
         "p,q",
-        [(3, 5), (7, 11), (13, 19), (31, 37), (449, 457), (1021, 2053),
-         (3, 199), (197, 199), (13, 1009), (17, 1009), (17, 123341), (5, 419429)],
+        [(3, 5), (7, 11), (13, 19), (31, 37), (3, 199), (13, 1009), (17, 1009), (179, 181),
+         (181, 191), (197, 199), (31, 2003), (449, 457), (1021, 2053), (17, 123341),
+         (5, 419429)],
     )
     def test_matches_streamed_oracle(self, p, q):
-        # Each shape of the bands and folds.  Rows of width m while pq/2
-        # stays under 255m: one band folded down to one row while the mask
-        # fits in 4 KB (both moduli up to (31, 37), and (3, 199)); 4 KB
-        # bands, summed and then folded, the last one partial (about 100
-        # rows per modulus in (197, 199), both moduli in (449, 457), and mod
-        # q in (13, 1009)).  255 or fewer wider rows past it: still banded
-        # while they are at most 2 KB (mod p in (13, 1009) and (17, 1009)),
-        # and one row per band with nothing folded past that (255 rows mod p
-        # and 9 of q in (17, 123341), 3 of q in (5, 419429), and mod both in
-        # (1021, 2053), just under the product cap)
+        # Each shape of the reads and folds, at 16 KB bands.  A mask of at
+        # most 16 KB is read once and folded from all of its rows for both
+        # moduli: rows of width m up to (179, 181), at 16,200 bytes, and 253
+        # rows of 2m mod p in (13, 1009) and (17, 1009).  Past 16 KB each
+        # modulus sums its own bands of whole rows and folds the sum: bands
+        # of 90 and 85 rows and a last band of 6 in (181, 191), the shortest
+        # banded mask here (17,286 bytes); 83 and 82 rows and a last band of
+        # 17 in (197, 199); rows of 124 bytes in bands of 132 and 119 rows
+        # mod 31, and two full bands of 8 rows mod 2003, in (31, 2003); 7
+        # bands of about 35 rows, the last partial, in (449, 457).  Wider
+        # rows, up to 255: bands of 3 rows of 5105 bytes mod 1021 and of 2
+        # rows mod 2053 in (1021, 2053), just under the product cap, and of
+        # 3 rows mod p in (17, 123341) and (5, 419429); rows past 8 KB, one
+        # per band with nothing folded, mod q in both (9 and 3 rows)
         assert product_over_transversal(build_transversal(p, q)) == streamed_product(p, q)
 
-    @pytest.mark.parametrize("p,q", [(7, 11), (3, 199), (13, 1009), (17, 1009)])
+    @pytest.mark.parametrize("p,q", [(7, 11), (3, 199), (13, 1009), (17, 1009), (181, 191)])
     def test_marked_multiples_zero_the_product(self, p, q):
-        # a marked multiple of p (of q) must zero coordinate a (b) on either route
+        # a marked multiple of p (of q) must zero coordinate a (b), whether
+        # the mask is read once, (7, 11) to (17, 1009), or in bands, (181, 191)
         L = build_transversal(p, q)
         L.mask[p] = L.mask[q] = 1
         assert product_over_transversal(L) == UnitPair(0, 0)
@@ -190,7 +196,7 @@ class TestProduct:
     @settings(max_examples=200, deadline=None)
     @given(
         m=st.sampled_from([3, 5, 7, 11, 13, 1009]),
-        rows=st.integers(0, 3 * 255),
+        rows=st.integers(0, 6 * 255),
         extra=st.integers(0, 1008),
         seed=st.none() | st.integers(0, 2**32 - 1),
         units_only=st.booleans(),
@@ -203,15 +209,16 @@ class TestProduct:
     @example(m=1009, rows=255, extra=1, seed=None, units_only=False)
     # one band of 129 rows of 7, so each fold but the last splits unevenly
     @example(m=7, rows=129, extra=0, seed=1, units_only=True)
-    # rows of 52, bands of 78 rows, and a last band of 36
-    @example(m=13, rows=765, extra=12, seed=2, units_only=True)
-    # rows of 4036 bytes, past 2048: one row per band and nothing folded
-    @example(m=1009, rows=765, extra=1008, seed=3, units_only=True)
+    # rows of 91, bands of 180 rows, and a last band of 39
+    @example(m=13, rows=6 * 255, extra=12, seed=2, units_only=True)
+    # rows of 9081 bytes, past 8 KB: one row per band and nothing folded
+    @example(m=1009, rows=2045, extra=1008, seed=3, units_only=True)
     def test_grouped_product_on_any_mask(self, m, rows, extra, seed, units_only):
-        # the bands, the folds and the grouping by count must hold for any
-        # 0/1 mask of 0 to about 3 * 255 * m bytes, not just a transversal's:
-        # rows whole rows of m plus extra % m k, every k marked when seed is
-        # None, and the multiples of m cleared when units_only
+        # the reads, the folds and the grouping by count must hold for any
+        # 0/1 mask of 0 to about 6 * 255 * m bytes, not just a transversal's,
+        # read in bands or handed over whole as one int: rows whole rows of
+        # m plus extra % m k, every k marked when seed is None, and the
+        # multiples of m cleared when units_only
         n = rows * m + extra % m
         if seed is None:
             keep = bytearray([1]) * n
@@ -224,6 +231,7 @@ class TestProduct:
             expected = expected * k % m
         got = _product_mod(keep, m)
         assert got == expected
+        assert _product_mod(keep, m, int.from_bytes(keep, "little")) == expected
         if any(keep[::m]):
             assert got == 0
 

@@ -237,12 +237,19 @@ class TestRemainderTree:
 
     @given(
         st.lists(st.tuples(st.integers(0, 200), st.integers(2, 60)), min_size=17, max_size=300)
+        # sparse points: a block may start hundreds to thousands of integers
+        # past the end of the one before it, so its carry spans that gap
+        | st.lists(
+            st.tuples(st.integers(0, 5000), st.integers(2, 2**31)), min_size=17, max_size=60
+        )
     )
     @example([(0, 2)] * 9 + [(1, 3)] * 9)  # n in {0, 1} only: nothing to multiply
     @example([(n // 3, 2 + n % 7) for n in range(300, 0, -1)])  # runs of n cut by blocks
     @example([(n, 4) for n in range(17)] + [(60, 9)] * 40)
     # the root's X is one running product over about 80,000 integers
     @example([(80_000 + i, 10**9 + 7) for i in range(17)])
+    # block 1 starts 4,985 integers past the end of block 0
+    @example([(i, 10**9 + 7) for i in range(16)] + [(5000, 10**9 + 7)])
     @settings(max_examples=100, deadline=None)
     def test_matches_running_product_pointwise(self, points):
         # unsorted and repeated n, n in {0, 1}, repeated and composite moduli
