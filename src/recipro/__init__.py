@@ -38,6 +38,7 @@ from .reciprocity_pipeline import (
     predicted_symbol_relation,
     product_over_transversal,
     verify_pair,
+    verify_pairs,
     verify_transversal,
 )
 from .residue_arith import (
@@ -85,6 +86,7 @@ __all__ = [
     "two_torsion_subgroup",
     "validate_odd_prime",
     "verify_pair",
+    "verify_pairs",
     "verify_transversal",
     "wilson_check",
 ]

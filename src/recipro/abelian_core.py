@@ -63,12 +63,21 @@ class Rank2Result(NamedTuple):
     rank: int
 
 
+def _check_group(G: AbelianGroup, caller: str) -> None:
+    if not isinstance(G, AbelianGroup):
+        raise DomainError(f"{caller} needs an AbelianGroup, got {G!r}")
+
+
 def element_order(G: AbelianGroup, coords: tuple[int, ...]) -> int:
     """Least m >= 1 with m*g = 0, i.e. lcm over factors of n_i / gcd(n_i, g_i).
 
     Raises DomainError unless coords holds one int 0 <= g_i < n_i per factor.
     """
-    coords = tuple(coords)
+    _check_group(G, "element_order")
+    try:
+        coords = tuple(coords)
+    except TypeError:
+        raise DomainError(f"coordinates must be an iterable of integers, got {coords!r}") from None
     orders = G.factor_orders
     if len(coords) != len(orders):
         raise DomainError(f"expected {len(orders)} coordinates, got {len(coords)}")
@@ -128,6 +137,7 @@ def two_torsion_subgroup(G: AbelianGroup) -> list[tuple[int, ...]]:
     state 0.  The result has 2**rank elements where rank counts the even
     factors.
     """
+    _check_group(G, "two_torsion_subgroup")
     flags = _doubling_walk(G.factor_orders).translate(_DOUBLES_TO_ZERO)
     return list(itertools.compress(G.iter_coords(), flags))
 
@@ -138,6 +148,7 @@ def rank2(G: AbelianGroup) -> Rank2Result:
     2**rank equals the length of :func:`two_torsion_subgroup` whenever that
     enumeration is feasible.
     """
+    _check_group(G, "rank2")
     return Rank2Result(rank=sum(1 for n in G.factor_orders if n % 2 == 0))
 
 
@@ -150,6 +161,7 @@ def sum_all_elements(G: AbelianGroup) -> tuple[int, ...]:
     the identity (all zeros) unless the 2-rank is exactly 1, in which case it
     is the unique element of order 2.
     """
+    _check_group(G, "sum_all_elements")
     return tuple(
         sum(map(itemgetter(i), G.iter_coords())) % n
         for i, n in enumerate(G.factor_orders)

@@ -33,11 +33,11 @@ import sys
 import threading
 from datetime import datetime, timezone
 from math import prod
-from typing import Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .errors import CapacityError, DomainError
-from .reciprocity_pipeline import RELATION_EQUAL, PairVerdict, verify_pair
+from .reciprocity_pipeline import RELATION_EQUAL, PairVerdict, verify_pair, verify_pairs
 from .residue_arith import legendre_euler, odd_primes_up_to
 from . import budget
 from .suites import SUITE_NAMES, SuiteResult, run_suite
@@ -137,16 +137,18 @@ def _report_stream(out: str | None) -> Iterator[TextIO]:
 
 
 def _verify_and_report(args: argparse.Namespace, bounds: Meta,
-                       pairs: list[tuple[int, int]]) -> int:
-    """Verify every pair and write the report; the exit code is 1 on any failure.
+                       verdicts: Iterable[PairVerdict]) -> int:
+    """Draw every verdict and write the report; the exit code is 1 on any failure.
 
-    The metadata is version, command, seed, then `bounds` (p and q, or max),
-    then format, and last generated_at, stamped once every pair is verified.
+    verdicts is lazy, so no pair is verified before the report stream is
+    open.  The metadata is version, command, seed, then `bounds` (p and q,
+    or max), then format, and last generated_at, stamped once every pair is
+    verified.
     """
     meta = [("version", __version__), ("command", args.command), ("seed", args.seed),
             *bounds, ("format", args.format)]
     with _report_stream(args.out) as handle:
-        rows = [_sweep_row(verify_pair(p, q)) for p, q in pairs]
+        rows = [_sweep_row(v) for v in verdicts]
         summary = _make_summary(rows)
         meta.append(("generated_at", datetime.now(timezone.utc).isoformat(timespec="seconds")))
         render = render_json if args.format == "json" else render_csv
@@ -165,7 +167,8 @@ def _make_summary(rows: list[dict]) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    return _verify_and_report(args, [("p", args.p), ("q", args.q)], [(args.p, args.q)])
+    return _verify_and_report(args, [("p", args.p), ("q", args.q)],
+                              map(verify_pair, [args.p], [args.q]))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -174,8 +177,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     primes = odd_primes_up_to(args.max)
     # the last two primes are the largest pair: refuse the sweep before any pair is verified
     budget.require_within(prod(primes[-2:]), budget.STREAM_PRODUCT_CAP, "transversal")
-    return _verify_and_report(args, [("max", args.max)],
-                              [(p, q) for i, p in enumerate(primes) for q in primes[i + 1 :]])
+    return _verify_and_report(args, [("max", args.max)], verify_pairs(
+        [(p, q) for i, p in enumerate(primes) for q in primes[i + 1 :]]))
 
 
 def cmd_lemma_suite(args: argparse.Namespace) -> int:

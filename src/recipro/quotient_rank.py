@@ -25,7 +25,11 @@ from .errors import DomainError, InternalCheckError
 
 
 def _even_orders(orders: Sequence[int]) -> tuple[int, ...]:
-    orders = tuple(orders)
+    try:
+        orders = tuple(orders)
+    except TypeError:
+        raise DomainError(
+            f"factor orders must be an iterable of integers, got {orders!r}") from None
     if not orders:
         raise DomainError("factor list must be nonempty")
     for n in orders:

@@ -18,16 +18,26 @@ once per modulus in bands; either way every k is read and no closed form
 enters the product.
 All named checks are recorded; a failure never aborts the remaining checks.
 
-Pure functions throughout; sweeps over many pairs may run concurrently.
+verify_pairs runs verify_pair over a run of pairs and holds, for that call
+only, one discrete-log table for each prime found in two or more of them,
+so the residue stage of such a prime is one C-level dot product.  A lone
+pair, and verify_pair called on its own, count the residues one by one.
+No table outlives its call.
+
+Pure functions throughout, apart from the tables dict each verify_pairs
+call fills for itself; sweeps over many pairs may run concurrently.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from operator import mul
+from typing import Iterable, Iterator, NamedTuple
 
 from . import budget
-from .errors import DomainError
+from .errors import DomainError, InternalCheckError
 from .quotient_rank import rank2_quotient_formula
 from .residue_arith import euler_symbol, validate_odd_prime
 
@@ -90,7 +100,47 @@ def build_transversal(p: int, q: int) -> Transversal:
     return Transversal(p, q)
 
 
-def _product_mod(keep: bytearray, m: int, whole: int | None = None) -> int:
+_LogTable = tuple[int, array]
+
+
+def _primitive_root(m: int) -> int:
+    """The least generator of the units mod the odd prime m.
+
+    g generates iff g^((m-1)/r) != 1 for every prime r dividing m - 1; the
+    r are found by trial division.
+    """
+    n, factors, r = m - 1, [], 2
+    while r * r <= n:
+        if n % r == 0:
+            factors.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        factors.append(n)
+    return next(g for g in range(2, m) if all(pow(g, (m - 1) // r, m) != 1 for r in factors))
+
+
+def _log_table(m: int, g: int) -> array:
+    """logs with g^logs[x] = x (mod m) for x = 1..m-1, by one walk of g's powers.
+
+    logs[0] is 0 and never read.  The walk writes logs[g^e] = e for
+    e = 0..m-2 and must visit all m - 1 units before returning to 1: it
+    ends back at 1, and no earlier return rewrote logs[1].  Anything else
+    is a bug here, hence InternalCheckError.
+    """
+    logs = array("I", [0]) * m
+    x = 1
+    for e in range(m - 1):
+        logs[x] = e
+        x = x * g % m
+    if x != 1 or logs[1]:
+        raise InternalCheckError(f"{g} does not generate the units mod {m}")
+    return logs
+
+
+def _product_mod(keep: bytearray, m: int, whole: int | None = None,
+                 table: _LogTable | None = None) -> int:
     """Product of the marked k, mod m, for any 0/1 mask over k = 0, 1, ...
 
     The mask is cut into at most 255 rows of width w, the least multiple of
@@ -102,11 +152,15 @@ def _product_mod(keep: bytearray, m: int, whole: int | None = None) -> int:
     lower ones, until one row is left, so byte x of that row counts the
     marked k = x (mod w).  Each byte only ever sums the bytes of distinct
     rows, so no byte carries into the next.  As m divides w, those k are
-    all x (mod m), so the product is
-    prod_x x^(c_x) = prod_c (prod of the x with c_x = c)^c (mod m), c_x the
-    count in byte x: each x is multiplied into the slot of its count and
-    each slot is raised to its count once.  A marked multiple of m makes
-    the product 0.
+    all x (mod m), so the product is prod_x x^(c_x) (mod m), c_x the count
+    in byte x, and a marked multiple of m makes it 0.
+
+    Given table, a generator g of the units mod the prime m and its logs,
+    the product of the units is g^(sum_x c_x * logs[x mod m]), the sum one
+    C-level dot product of the row with the logs tiled to width w.
+    Otherwise each x is multiplied into the slot of its count and each slot
+    is raised to its count once:
+    prod_x x^(c_x) = prod_c (prod of the x with c_x = c)^c.
     """
     n = len(keep)
     w = m * max(1, -(-n // (255 * m)))
@@ -121,9 +175,15 @@ def _product_mod(keep: bytearray, m: int, whole: int | None = None) -> int:
     while band > 1:
         band = -(-band // 2)
         total = (total & ((1 << 8 * w * band) - 1)) + (total >> 8 * w * band)
+    row = total.to_bytes(w, "little")
+    if table is not None:
+        g, logs = table
+        if not _all_zero(row[::m]):
+            return 0
+        return pow(g, sum(map(mul, row, logs * (w // m))) % (m - 1), m)
     # no class holds more marked k than there are rows
     by_count = [1] * (rows + 1)
-    for x, c in enumerate(total.to_bytes(w, "little")):
+    for x, c in enumerate(row):
         by_count[c] = by_count[c] * x % m
     acc = 1
     for c in range(1, len(by_count)):
@@ -132,7 +192,18 @@ def _product_mod(keep: bytearray, m: int, whole: int | None = None) -> int:
     return acc
 
 
-def product_over_transversal(L: Transversal) -> UnitPair:
+def _table(tables: dict[int, _LogTable | None] | None, m: int) -> _LogTable | None:
+    """m's log table from tables, built on its first use; None when m has no slot."""
+    if not tables or m not in tables:
+        return None
+    if tables[m] is None:
+        g = _primitive_root(m)
+        tables[m] = (g, _log_table(m, g))
+    return tables[m]
+
+
+def product_over_transversal(L: Transversal,
+                             tables: dict[int, _LogTable | None] | None = None) -> UnitPair:
     """Componentwise product of all entries, read off L.mask.
 
     The mask is the one built with L, the same bytes verify_transversal
@@ -140,13 +211,16 @@ def product_over_transversal(L: Transversal) -> UnitPair:
     _product_mod folds for p and for q; a longer one is read in bands once
     per modulus.  The coordinate mod m is the product of r^(number of
     marked k = r mod m) over all residues r, counted by _product_mod; every
-    k is read and the entries are never formed.
+    k is read and the entries are never formed.  A prime with a slot in
+    tables (see verify_pairs) takes the residue stage through its log
+    table, built here the first time, after L has validated the prime.
     """
     if not isinstance(L, Transversal):
         raise DomainError(f"product_over_transversal needs a Transversal, got {L!r}")
-    keep = L.mask
+    keep, p, q = L.mask, L.p, L.q
     whole = int.from_bytes(keep, "little") if len(keep) <= _BAND_BYTES else None
-    return UnitPair(_product_mod(keep, L.p, whole), _product_mod(keep, L.q, whole))
+    return UnitPair(_product_mod(keep, p, whole, _table(tables, p)),
+                    _product_mod(keep, q, whole, _table(tables, q)))
 
 
 def _closed_form(p: int, q: int, leg_qp: int, leg_pq: int) -> UnitPair:
@@ -222,7 +296,8 @@ class PairVerdict:
         return all(self.checks.values())
 
 
-def verify_pair(p: int, q: int) -> PairVerdict:
+def verify_pair(p: int, q: int,
+                tables: dict[int, _LogTable | None] | None = None) -> PairVerdict:
     """Run every verification step for one pair of distinct odd primes.
 
     Named checks recorded in the verdict:
@@ -242,10 +317,11 @@ def verify_pair(p: int, q: int) -> PairVerdict:
     p and q are validated once, by build_transversal; the two Legendre
     symbols are computed once each and feed the closed form, the relation
     and the reciprocity identity, and the rank is the closed form applied
-    to (p - 1, q - 1).
+    to (p - 1, q - 1).  tables, from verify_pairs, holds the log tables the
+    product may use; the verdict is the same with or without them.
     """
     L = build_transversal(p, q)
-    product = product_over_transversal(L)
+    product = product_over_transversal(L, tables)
     leg_qp = euler_symbol(q, p)
     leg_pq = euler_symbol(p, q)
     closed = _closed_form(p, q, leg_qp, leg_pq)
@@ -275,3 +351,24 @@ def verify_pair(p: int, q: int) -> PairVerdict:
         qr_identity_holds=qr_holds,
         checks=checks,
     )
+
+
+def verify_pairs(pairs: Iterable[tuple[int, int]]) -> Iterator[PairVerdict]:
+    """verify_pair on every pair, yielding the verdicts in pair order.
+
+    Each prime found in two or more of the pairs gets a slot in one tables
+    dict, held by this call alone; its log table is built when its first
+    pair's product needs it, once its Transversal has validated it, so no
+    prime is tested twice.  A prime in one pair only keeps the per-residue
+    loop, which costs less than building a table.  verify_pair is looked up
+    for each pair, so a replacement of it is the one called.
+    """
+    try:
+        pairs = [(p, q) for p, q in pairs]
+        counts = Counter(m for pair in pairs for m in pair)
+    except (TypeError, ValueError):
+        raise DomainError(
+            f"verify_pairs needs an iterable of (p, q) pairs, got {pairs!r}") from None
+    tables: dict[int, _LogTable | None] = {m: None for m, n in counts.items() if n > 1}
+    for p, q in pairs:
+        yield verify_pair(p, q, tables)

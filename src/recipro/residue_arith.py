@@ -220,7 +220,11 @@ def factorial_residues(points: Iterable[tuple[int, int]]) -> list[int]:
     ascending n, through a remainder tree over blocks of 16 running products
     (one block, and no tree node, for up to 16 points).
     """
-    points = list(points)
+    try:
+        points = list(points)
+    except TypeError:
+        raise DomainError(
+            f"factorial points must be an iterable of (n, m) pairs, got {points!r}") from None
     for point in points:
         try:
             n, m = point

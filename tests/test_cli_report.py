@@ -47,7 +47,7 @@ def failed_verdict(p, q):
     )
 
 
-def passed_verdict(p, q):
+def passed_verdict(p, q, tables=None):
     """A stand-in for verify_pair that passes at once, for sweeps too long to verify."""
     return dataclasses.replace(
         failed_verdict(p, q), qr_identity_holds=True, checks={"qr_identity": True}
@@ -140,7 +140,7 @@ class TestSweepCommand:
     def test_largest_admitted_max_sweeps_every_pair(self, monkeypatch, capsys):
         # 1439 * 1447 = 2082233 is the largest pair product up to 1450, within
         # the stream cap 2**21; a passing stub stands in for the 30 s of checks
-        monkeypatch.setattr("recipro.cli_report.verify_pair", passed_verdict)
+        monkeypatch.setattr("recipro.reciprocity_pipeline.verify_pair", passed_verdict)
         assert main(["sweep", "--max", "1450"]) == 0
         body = csv_body(capsys.readouterr().out)
         assert len(body) == 1 + 25_878
@@ -148,7 +148,7 @@ class TestSweepCommand:
 
     def test_first_max_over_the_cap_exits_2_before_verifying(self, monkeypatch, capsys):
         # 1447 * 1451 = 2099597 > 2**21
-        monkeypatch.setattr("recipro.cli_report.verify_pair", refuse_verify_pair)
+        monkeypatch.setattr("recipro.reciprocity_pipeline.verify_pair", refuse_verify_pair)
         assert main(["sweep", "--max", "1451"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "2099597" in err
@@ -218,13 +218,13 @@ class TestSweepCommand:
         assert "# seed: 77" in result.stdout
 
 
-def refuse_verify_pair(p, q):
+def refuse_verify_pair(p, q, tables=None):
     raise AssertionError("verification ran before the destination was checked")
 
 
 class TestReportFile:
     def test_missing_directory_exits_2_before_verifying(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("recipro.cli_report.verify_pair", refuse_verify_pair)
+        monkeypatch.setattr("recipro.reciprocity_pipeline.verify_pair", refuse_verify_pair)
         out = tmp_path / "missing" / "x.csv"
         assert main(["sweep", "--max", "30", "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -233,7 +233,7 @@ class TestReportFile:
         assert list(tmp_path.iterdir()) == []
 
     def test_directory_destination_exits_2_before_verifying(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("recipro.cli_report.verify_pair", refuse_verify_pair)
+        monkeypatch.setattr("recipro.reciprocity_pipeline.verify_pair", refuse_verify_pair)
         assert main(["sweep", "--max", "30", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Is a directory" in err
@@ -248,12 +248,12 @@ class TestReportFile:
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_run_leaves_existing_report_untouched(self, tmp_path, monkeypatch):
-        def failing_verify_pair(p, q):
+        def failing_verify_pair(p, q, tables=None):
             raise DomainError("injected")
 
         out = tmp_path / "r.csv"
         out.write_text("previous report\n", encoding="utf-8")
-        monkeypatch.setattr("recipro.cli_report.verify_pair", failing_verify_pair)
+        monkeypatch.setattr("recipro.reciprocity_pipeline.verify_pair", failing_verify_pair)
         assert main(["sweep", "--max", "30", "--out", str(out)]) == 2
         assert out.read_text(encoding="utf-8") == "previous report\n"
         assert list(tmp_path.iterdir()) == [out]

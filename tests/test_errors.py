@@ -6,8 +6,15 @@ import pytest
 from recipro import (
     AbelianGroup,
     DomainError,
+    element_order,
     factorial_residues,
     product_over_transversal,
+    rank2,
+    rank2_quotient_enumerated,
+    rank2_quotient_formula,
+    sum_all_elements,
+    two_torsion_subgroup,
+    verify_pairs,
     verify_transversal,
 )
 
@@ -20,6 +27,20 @@ from recipro import (
         # a point that is not a pair, and a pair short of a modulus
         pytest.param(lambda point: factorial_residues([point]), 5, id="factorial_residues-int"),
         pytest.param(lambda point: factorial_residues([point]), (5,), id="factorial_residues-1-tuple"),
+        # points, factor orders and coordinates that are not iterables
+        pytest.param(factorial_residues, 5, id="factorial_residues"),
+        pytest.param(rank2_quotient_formula, 5, id="rank2_quotient_formula"),
+        pytest.param(rank2_quotient_enumerated, 5, id="rank2_quotient_enumerated"),
+        pytest.param(lambda coords: element_order(AbelianGroup((4,)), coords), 5,
+                     id="element_order"),
+        # a group that is not an AbelianGroup
+        pytest.param(sum_all_elements, 5, id="sum_all_elements"),
+        pytest.param(two_torsion_subgroup, 5, id="two_torsion_subgroup"),
+        pytest.param(rank2, 5, id="rank2"),
+        pytest.param(lambda G: element_order(G, (1,)), 5, id="element_order-group"),
+        # pairs that are not an iterable, and a pair short of a prime
+        pytest.param(lambda pairs: list(verify_pairs(pairs)), 5, id="verify_pairs-int"),
+        pytest.param(lambda pairs: list(verify_pairs(pairs)), [(3,)], id="verify_pairs-1-tuple"),
         pytest.param(product_over_transversal, 5, id="product_over_transversal"),
         pytest.param(verify_transversal, 5, id="verify_transversal"),
     ],

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from recipro import (
     CapacityError,
     DomainError,
+    InternalCheckError,
     Transversal,
     UnitPair,
     build_transversal,
@@ -16,10 +17,11 @@ from recipro import (
     odd_primes_up_to,
     product_over_transversal,
     verify_pair,
+    verify_pairs,
     verify_transversal,
 )
 from recipro import reciprocity_pipeline, residue_arith
-from recipro.reciprocity_pipeline import _product_mod
+from recipro.reciprocity_pipeline import _log_table, _primitive_root, _product_mod
 from _oracles import crt_transversal_ok, streamed_product
 
 SMALL_PAIRS = [
@@ -214,11 +216,13 @@ class TestProduct:
     # rows of 9081 bytes, past 8 KB: one row per band and nothing folded
     @example(m=1009, rows=2045, extra=1008, seed=3, units_only=True)
     def test_grouped_product_on_any_mask(self, m, rows, extra, seed, units_only):
-        # the reads, the folds and the grouping by count must hold for any
-        # 0/1 mask of 0 to about 6 * 255 * m bytes, not just a transversal's,
-        # read in bands or handed over whole as one int: rows whole rows of
-        # m plus extra % m k, every k marked when seed is None, and the
-        # multiples of m cleared when units_only
+        # the reads, the folds and both residue stages, the grouping by count
+        # and the log table, must hold for any 0/1 mask of 0 to about
+        # 6 * 255 * m bytes, not just a transversal's, read in bands or handed
+        # over whole as one int: rows whole rows of m plus extra % m k, every
+        # k marked when seed is None, and the multiples of m cleared when
+        # units_only.  Past 255 rows of m the row is wider than m and the
+        # table is tiled across it.
         n = rows * m + extra % m
         if seed is None:
             keep = bytearray([1]) * n
@@ -231,9 +235,31 @@ class TestProduct:
             expected = expected * k % m
         got = _product_mod(keep, m)
         assert got == expected
-        assert _product_mod(keep, m, int.from_bytes(keep, "little")) == expected
+        whole = int.from_bytes(keep, "little")
+        assert _product_mod(keep, m, whole) == expected
+        table = (g := _primitive_root(m), _log_table(m, g))
+        assert _product_mod(keep, m, table=table) == expected
+        assert _product_mod(keep, m, whole, table) == expected
         if any(keep[::m]):
             assert got == 0
+
+
+class TestLogTable:
+    def test_every_odd_prime_to_1450(self):
+        # g^logs[x] = x for every unit x, and the logs are 0..m-2, each once
+        for m in odd_primes_up_to(1450):
+            g = _primitive_root(m)
+            logs = _log_table(m, g)
+            assert len(logs) == m
+            assert all(pow(g, logs[x], m) == x for x in range(1, m))
+            assert sorted(logs[1:]) == list(range(m - 1))
+
+    @pytest.mark.parametrize("m,g", [(7, 2), (7, 1), (7, 6), (13, 4), (3, 3)])
+    def test_non_generator_raises(self, m, g):
+        # 2 has order 3 mod 7, 1 order 1, 6 = -1 order 2, 4 order 6 mod 13,
+        # and 3 = 0 mod 3 is no unit
+        with pytest.raises(InternalCheckError):
+            _log_table(m, g)
 
 
 class TestClosedForm:
@@ -372,7 +398,8 @@ class TestVerifyPair:
     )
     def test_rank_sign_check_is_class_membership(self, monkeypatch, p, q, product, in_class):
         monkeypatch.setattr(
-            reciprocity_pipeline, "product_over_transversal", lambda L: UnitPair(*product)
+            reciprocity_pipeline, "product_over_transversal",
+            lambda L, tables=None: UnitPair(*product),
         )
         assert verify_pair(p, q).checks["rank_sign_dichotomy"] is in_class
 
@@ -496,6 +523,94 @@ class TestFaultInjection:
         }
 
 
+def record_log_tables(monkeypatch, perturb=None):
+    """The primes whose log tables get built, in build order; perturb(m, logs)
+    may change each table before it is used."""
+    original = reciprocity_pipeline._log_table
+    built = []
+
+    def recorded(m, g):
+        logs = original(m, g)
+        built.append(m)
+        if perturb is not None:
+            perturb(m, logs)
+        return logs
+
+    monkeypatch.setattr(reciprocity_pipeline, "_log_table", recorded)
+    return built
+
+
+class TestVerifyPairs:
+    def test_matches_verify_pair_on_sweep_200(self):
+        expected = [verify_pair(p, q) for p, q in SWEEP_200_PAIRS]
+        assert list(verify_pairs(SWEEP_200_PAIRS)) == expected
+
+    def test_one_table_per_shared_prime_in_first_use_order(self, monkeypatch):
+        built = record_log_tables(monkeypatch)
+        assert all(v.all_pass for v in verify_pairs([(5, 7), (3, 11), (3, 7), (13, 17)]))
+        assert built == [7, 3]
+
+    @pytest.mark.parametrize("pairs", [[(3, 5)], [(3, 5), (7, 11)], []])
+    def test_unshared_primes_build_no_table(self, monkeypatch, pairs):
+        def refuse(m, g):
+            raise AssertionError(f"a table was built for {m}, in one pair only")
+
+        monkeypatch.setattr(reciprocity_pipeline, "_log_table", refuse)
+        assert [(v.p, v.q) for v in verify_pairs(pairs) if v.all_pass] == pairs
+
+    def test_each_call_builds_its_own_tables(self, monkeypatch):
+        built = record_log_tables(monkeypatch)
+        pairs = [(3, 5), (3, 7), (5, 7)]
+        first = list(verify_pairs(pairs))
+        assert built == [3, 5, 7]
+        assert list(verify_pairs(pairs)) == first
+        assert built == [3, 5, 7] * 2
+
+    def test_verdicts_follow_verify_pair_replacements(self, monkeypatch):
+        calls = []
+
+        def recorded(p, q, tables=None):
+            calls.append((p, q, sorted(tables)))
+            return (p, q)
+
+        monkeypatch.setattr(reciprocity_pipeline, "verify_pair", recorded)
+        assert list(verify_pairs([(3, 5), (3, 7), (11, 13)])) == [(3, 5), (3, 7), (11, 13)]
+        assert calls == [(3, 5, [3]), (3, 7, [3]), (11, 13, [3])]
+
+    def test_marked_multiple_of_p_zeroes_that_pair_on_the_table_path(self, monkeypatch):
+        # 3's table is built for (3, 5), so (3, 7) reads its marked k = 3
+        # through the table stage, which must give 0, not g^(sum of logs);
+        # mod 7 that k is 3, times the closed form's 1
+        def mark_p_of_3_7(keep, p, q):
+            if (p, q) == (3, 7):
+                keep[p] = 1
+            return keep
+
+        built = record_log_tables(monkeypatch)
+        tamper_mask(monkeypatch, mark_p_of_3_7)
+        verdicts = list(verify_pairs([(3, 5), (3, 7), (5, 7)]))
+        assert built == [3, 5, 7]
+        assert verdicts[1].product_L == UnitPair(0, 3)
+        assert failed_checks(verdicts[1]) == {
+            "product_matches_closed_form",
+            "transversal_valid",
+            "rank_sign_dichotomy",
+        }
+        assert verdicts[0].all_pass and verdicts[2].all_pass
+
+    def test_perturbed_table_entry_fails_exactly_the_pairs_of_its_prime(self, monkeypatch):
+        # log 1 = 0 turned into 1 multiplies each product mod 13 by g^(c_1),
+        # c_1 the marked k = 1 (mod 13): no pair here has 12 | c_1
+        def perturb(m, logs):
+            if m == 13:
+                logs[1] += 1
+
+        record_log_tables(monkeypatch, perturb)
+        failed = [(v.p, v.q) for v in verify_pairs(SMALL_PAIRS)
+                  if not v.checks["product_matches_closed_form"]]
+        assert failed == [(p, q) for p, q in SMALL_PAIRS if 13 in (p, q)]
+
+
 class TestValidateOnce:
     def test_verify_pair_tests_primality_twice(self, monkeypatch):
         calls = []
@@ -508,6 +623,19 @@ class TestValidateOnce:
         monkeypatch.setattr(residue_arith, "is_prime", counted)
         assert verify_pair(7, 11).all_pass
         assert sorted(calls) == [7, 11]
+
+    def test_verify_pairs_tests_primality_twice_per_pair(self, monkeypatch):
+        # building a table tests no prime again
+        calls = []
+        original = residue_arith.is_prime
+
+        def counted(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(residue_arith, "is_prime", counted)
+        assert all(v.all_pass for v in verify_pairs(SMALL_PAIRS))
+        assert sorted(calls) == sorted(m for pair in SMALL_PAIRS for m in pair)
 
     @pytest.mark.parametrize(
         "fn", [closed_form_product],
