@@ -12,7 +12,8 @@ Reports are deterministic byte for byte given the same arguments.  The
 metadata, built from the parsed arguments, holds the only timestamp:
 '#'-prefixed comment lines in CSV, the "meta" object in JSON.  The report
 body (CSV header plus data rows; JSON "rows" and "summary") never varies
-between identical runs.  Each row is a dict keyed in SWEEP_FIELDS order.
+between identical runs.  Rows are value tuples in SWEEP_FIELDS order; JSON
+rows are dicts keyed in that order.
 
 The argument parser is built once per process and shared.  Parsing keeps no
 per-call state: every call gets a fresh namespace, and each subcommand's
@@ -49,21 +50,15 @@ SWEEP_FIELDS = (
 )
 
 
-def _sweep_row(v: PairVerdict) -> dict:
-    """One verified pair, flattened for serialization, keyed in SWEEP_FIELDS order."""
-    return dict(zip(SWEEP_FIELDS, (
+def _sweep_row(v: PairVerdict) -> tuple:
+    """One verified pair, flattened for serialization, in SWEEP_FIELDS order."""
+    return (
         v.p, v.q, v.p % 4, v.q % 4, v.rank,
         v.product_L.a, v.product_L.b, v.closed_form.a, v.closed_form.b,
         v.legendre_qp, v.legendre_pq,
         "equal" if v.predicted_relation == RELATION_EQUAL else "opposite",
         v.qr_identity_holds, v.all_pass,
-    )))
-
-
-def _csv_value(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+    )
 
 
 def _summary_text(summary: dict) -> str:
@@ -76,17 +71,20 @@ def _summary_text(summary: dict) -> str:
 Meta = list[tuple[str, object]]
 
 
-def render_csv(meta: Meta, rows: list[dict], summary: dict) -> str:
+def render_csv(meta: Meta, rows: list[tuple], summary: dict) -> str:
+    text = {True: "true", False: "false"}
     lines = [f"# {key}: {value}" for key, value in meta]
     lines.append(",".join(SWEEP_FIELDS))
-    for row in rows:
-        lines.append(",".join(_csv_value(v) for v in row.values()))
+    # one f-string per row, its fields in SWEEP_FIELDS order; the two flags are spelled out
+    lines += [f"{p},{q},{p4},{q4},{rank},{a},{b},{ca},{cb},{qp},{pq},{rel},{text[qr]},{text[ok]}"
+              for p, q, p4, q4, rank, a, b, ca, cb, qp, pq, rel, qr, ok in rows]
     lines.append(f"# summary: {_summary_text(summary)}")
     return "\n".join(lines) + "\n"
 
 
-def render_json(meta: Meta, rows: list[dict], summary: dict) -> str:
-    doc = {"meta": dict(meta), "rows": rows, "summary": summary}
+def render_json(meta: Meta, rows: list[tuple], summary: dict) -> str:
+    doc = {"meta": dict(meta), "rows": [dict(zip(SWEEP_FIELDS, row)) for row in rows],
+           "summary": summary}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -158,8 +156,8 @@ def _verify_and_report(args: argparse.Namespace, bounds: Meta,
     return 0 if summary["failures"] == 0 else 1
 
 
-def _make_summary(rows: list[dict]) -> dict:
-    failures = sum(1 for row in rows if not row["all_pass"])
+def _make_summary(rows: list[tuple]) -> dict:
+    failures = sum(1 for row in rows if not row[-1])  # all_pass, the last field
     summary: dict = {"pairs": len(rows), "failures": failures}
     if not rows:
         summary["note"] = "no pairs"

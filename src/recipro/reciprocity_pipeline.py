@@ -13,9 +13,9 @@ quotient; the relation that rank predicts between (q/p) and (p/q); and the
 reciprocity identity for the same two symbols.  The representatives are
 described by one keep-mask over k, built once per pair when the transversal
 is built; the product counts it and the validation checks those same bytes.
-A mask that fits in one band is read once for both moduli, a longer one
-once per modulus in bands; either way every k is read and no closed form
-enters the product.
+A mask of at most 32 KB (two bands) is read once for both moduli, a
+longer one once per modulus in 16 KB bands; either way every k is read and
+no closed form enters the product.
 All named checks are recorded; a failure never aborts the remaining checks.
 
 verify_pairs runs verify_pair over a run of pairs and holds, for that call
@@ -46,7 +46,8 @@ RELATION_OPPOSITE = -1
 
 # int.from_bytes costs least per byte on reads of about 4-20 KB, and a band
 # of rows up to this long keeps each halving of the band sum cheap.  A mask
-# no longer than one band is read once for both moduli; a longer one is
+# no longer than two bands (32 KB) is read once for both moduli, as one read
+# folded twice was timed faster at 21 KB and tied at 48 KB; a longer one is
 # read in bands once per modulus, since one whole-mask read folded twice
 # was timed slower on masks of 0.5 MB and more.
 _BAND_BYTES = 16384
@@ -145,9 +146,10 @@ def _product_mod(keep: bytearray, m: int, whole: int | None = None,
 
     The mask is cut into at most 255 rows of width w, the least multiple of
     m that leaves no more rows.  Given whole, the mask read as one
-    little-endian int, all of its rows are folded from that int.  Otherwise
-    the mask is read in bands of whole rows, at most _BAND_BYTES long (one
-    row when w is wider), and the bands are added as little-endian ints.
+    little-endian int (product_over_transversal does so up to 32 KB), all
+    of its rows are folded from that int.  Otherwise the mask is read in
+    bands of whole rows, at most _BAND_BYTES long (one row when w is
+    wider), and the bands are added as little-endian ints.
     The sum is then halved at a row boundary, its upper rows added onto its
     lower ones, until one row is left, so byte x of that row counts the
     marked k = x (mod w).  Each byte only ever sums the bytes of distinct
@@ -157,7 +159,8 @@ def _product_mod(keep: bytearray, m: int, whole: int | None = None,
 
     Given table, a generator g of the units mod the prime m and its logs,
     the product of the units is g^(sum_x c_x * logs[x mod m]), the sum one
-    C-level dot product of the row with the logs tiled to width w.
+    C-level dot product of the row with the logs, tiled to width w when
+    w is wider than m.
     Otherwise each x is multiplied into the slot of its count and each slot
     is raised to its count once:
     prod_x x^(c_x) = prod_c (prod of the x with c_x = c)^c.
@@ -172,15 +175,17 @@ def _product_mod(keep: bytearray, m: int, whole: int | None = None,
         total = sum(int.from_bytes(view[i : i + step], "little") for i in range(0, n, step))
     else:
         band, total = rows, whole
+    bits = 8 * w
     while band > 1:
         band = -(-band // 2)
-        total = (total & ((1 << 8 * w * band) - 1)) + (total >> 8 * w * band)
+        cut = bits * band
+        total = (total & ((1 << cut) - 1)) + (total >> cut)
     row = total.to_bytes(w, "little")
     if table is not None:
         g, logs = table
         if not _all_zero(row[::m]):
             return 0
-        return pow(g, sum(map(mul, row, logs * (w // m))) % (m - 1), m)
+        return pow(g, sum(map(mul, row, logs if w == m else logs * (w // m))) % (m - 1), m)
     # no class holds more marked k than there are rows
     by_count = [1] * (rows + 1)
     for x, c in enumerate(row):
@@ -207,18 +212,18 @@ def product_over_transversal(L: Transversal,
     """Componentwise product of all entries, read off L.mask.
 
     The mask is the one built with L, the same bytes verify_transversal
-    checks.  A mask of at most _BAND_BYTES is read once, as one int that
-    _product_mod folds for p and for q; a longer one is read in bands once
-    per modulus.  The coordinate mod m is the product of r^(number of
-    marked k = r mod m) over all residues r, counted by _product_mod; every
-    k is read and the entries are never formed.  A prime with a slot in
+    checks.  A mask of at most 2 * _BAND_BYTES (32 KB) is read once, as
+    one int that _product_mod folds for p and for q; a longer one is read
+    in 16 KB bands once per modulus.  The coordinate mod m is the product
+    of r^(number of marked k = r mod m) over all residues r, counted by
+    _product_mod; every k is read and the entries are never formed.  A prime with a slot in
     tables (see verify_pairs) takes the residue stage through its log
     table, built here the first time, after L has validated the prime.
     """
     if not isinstance(L, Transversal):
         raise DomainError(f"product_over_transversal needs a Transversal, got {L!r}")
     keep, p, q = L.mask, L.p, L.q
-    whole = int.from_bytes(keep, "little") if len(keep) <= _BAND_BYTES else None
+    whole = int.from_bytes(keep, "little") if len(keep) <= 2 * _BAND_BYTES else None
     return UnitPair(_product_mod(keep, p, whole, _table(tables, p)),
                     _product_mod(keep, q, whole, _table(tables, q)))
 

@@ -78,8 +78,10 @@ def is_prime(n: int) -> bool:
 
 
 def validate_odd_prime(p: int) -> int:
-    """Return p unchanged after checking it is an odd prime >= 3."""
-    _check_int(p)
+    """Return p unchanged after checking it is an odd prime >= 3.
+
+    is_prime refuses a p that is not an int, so p is checked once.
+    """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if p == 2:

@@ -3,9 +3,10 @@
 All randomness comes from ``random.Random(seed)``, i.e. the Mersenne Twister
 (MT19937) as shipped with CPython.  Every generator documents its exact draw
 sequence, so a case list is reproducible from the seed alone.  run_suite
-refuses a case count that is a bool or not an int with DomainError, and more
-than budget.SUITE_CASE_CAP cases with CapacityError, for every suite, before
-any case is drawn or any prime is sieved.
+refuses a suite name that is not one of SUITE_NAMES, and a case count or a
+seed that is a bool or not an int, with DomainError, and more than
+budget.SUITE_CASE_CAP cases with CapacityError, for every suite, before any
+case is drawn or any prime is sieved.
 """
 
 from __future__ import annotations
@@ -218,10 +219,12 @@ SUITE_NAMES = tuple(_RUNNERS)
 
 
 def run_suite(which: str, n_cases: int, seed: int) -> SuiteResult:
-    if which not in _RUNNERS:
+    if not isinstance(which, str) or which not in _RUNNERS:
         raise DomainError(f"unknown suite {which!r}; choose from {', '.join(SUITE_NAMES)}")
     if _check_int(n_cases, "n_cases") < 1:
         raise DomainError(f"n_cases must be >= 1, got {n_cases}")
+    # a seed of None would draw from OS entropy, and no case list would repeat
+    _check_int(seed, "seed")
     cap = budget.SUITE_CASE_CAP
     if n_cases > cap:
         raise CapacityError(f"{which} suite needs {n_cases} cases, over the cap of {cap}")

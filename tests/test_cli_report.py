@@ -184,19 +184,38 @@ class TestSweepCommand:
         ]
         assert bodies[0] == bodies[1]
 
-    def test_csv_json_same_values(self):
-        csv_run = run_cli("sweep", "--max", "30")
-        json_run = run_cli("sweep", "--max", "30", "--format", "json")
-        rows = json.loads(json_run.stdout)["rows"]
-        body = csv_body(csv_run.stdout)
-        assert len(body) == len(rows) + 1
+    @pytest.mark.parametrize("max_,pairs,qr_only", [("60", 120, False), ("7", 3, True)])
+    def test_csv_and_json_rows_carry_the_same_values_in_field_order(
+            self, monkeypatch, capsys, max_, pairs, qr_only):
+        # the CSV row is one f-string over the row's fields; read back, with
+        # true/false as bools and digits as ints, each row must be the JSON
+        # row's values in SWEEP_FIELDS order, type for type.  qr_only stubs
+        # a verdict whose reciprocity identity holds while another check
+        # fails, so the two flags differ and cannot trade places unseen.
+        if qr_only:
+            monkeypatch.setattr(
+                "recipro.reciprocity_pipeline.verify_pair",
+                lambda p, q, tables=None: dataclasses.replace(
+                    passed_verdict(p, q), checks={"qr_identity": True, "other": False}),
+            )
+        status = main(["sweep", "--max", max_])
+        body = csv_body(capsys.readouterr().out)
+        assert main(["sweep", "--max", max_, "--format", "json"]) == status == int(qr_only)
+        rows = json.loads(capsys.readouterr().out)["rows"]
+
+        def parse(field):
+            if field in ("true", "false"):
+                return field == "true"
+            return int(field) if field.lstrip("-").isdigit() else field
+
+        assert body[0] == ",".join(SWEEP_FIELDS)
+        assert len(body) - 1 == len(rows) == pairs
         for line, row in zip(body[1:], rows):
-            got = line.split(",")
-            expected = [
-                "true" if v is True else "false" if v is False else str(v)
-                for v in row.values()
-            ]
-            assert got == expected
+            assert tuple(row) == SWEEP_FIELDS
+            got = [parse(field) for field in line.split(",")]
+            assert [(type(v), v) for v in got] == [(type(v), v) for v in row.values()], line
+            if qr_only:
+                assert line.endswith(",true,false")
 
     def test_bodies_match_pinned_digests(self, capsys):
         # SHA-256 of known-good report bodies; a change to any reported

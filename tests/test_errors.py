@@ -17,6 +17,7 @@ from recipro import (
     verify_pairs,
     verify_transversal,
 )
+from recipro.suites import run_suite
 
 
 @pytest.mark.parametrize(
@@ -43,6 +44,11 @@ from recipro import (
         pytest.param(lambda pairs: list(verify_pairs(pairs)), [(3,)], id="verify_pairs-1-tuple"),
         pytest.param(product_over_transversal, 5, id="product_over_transversal"),
         pytest.param(verify_transversal, 5, id="verify_transversal"),
+        # a suite name that is not a str, and a seed that is not an int: a seed
+        # of None would draw from OS entropy, so no case list would repeat
+        pytest.param(lambda which: run_suite(which, 5, 0), [3], id="run_suite-which"),
+        pytest.param(lambda seed: run_suite("lemma1", 5, seed), [1], id="run_suite-seed-list"),
+        pytest.param(lambda seed: run_suite("lemma1", 5, seed), None, id="run_suite-seed-None"),
     ],
 )
 def test_malformed_argument_raises_domain_error(call, bad):

@@ -167,33 +167,54 @@ class TestProduct:
     @pytest.mark.parametrize(
         "p,q",
         [(3, 5), (7, 11), (13, 19), (31, 37), (3, 199), (13, 1009), (17, 1009), (179, 181),
-         (181, 191), (197, 199), (31, 2003), (449, 457), (1021, 2053), (17, 123341),
-         (5, 419429)],
+         (181, 191), (197, 199), (31, 2003), (181, 359), (181, 367), (11, 5981), (449, 457),
+         (1021, 2053), (17, 123341), (5, 419429)],
     )
     def test_matches_streamed_oracle(self, p, q):
         # Each shape of the reads and folds, at 16 KB bands.  A mask of at
-        # most 16 KB is read once and folded from all of its rows for both
-        # moduli: rows of width m up to (179, 181), at 16,200 bytes, and 253
-        # rows of 2m mod p in (13, 1009) and (17, 1009).  Past 16 KB each
-        # modulus sums its own bands of whole rows and folds the sum: bands
-        # of 90 and 85 rows and a last band of 6 in (181, 191), the shortest
-        # banded mask here (17,286 bytes); 83 and 82 rows and a last band of
-        # 17 in (197, 199); rows of 124 bytes in bands of 132 and 119 rows
-        # mod 31, and two full bands of 8 rows mod 2003, in (31, 2003); 7
-        # bands of about 35 rows, the last partial, in (449, 457).  Wider
-        # rows, up to 255: bands of 3 rows of 5105 bytes mod 1021 and of 2
-        # rows mod 2053 in (1021, 2053), just under the product cap, and of
-        # 3 rows mod p in (17, 123341) and (5, 419429); rows past 8 KB, one
-        # per band with nothing folded, mod q in both (9 and 3 rows)
+        # most 32 KB is read once and folded from all of its rows for both
+        # moduli: rows of width m up to (197, 199); 253 rows of 2m mod p in
+        # (13, 1009) and (17, 1009); 251 rows of 4m mod 31 and 16 rows mod
+        # 2003 in (31, 2003); and (181, 359), at 32,490 bytes the longest
+        # mask here read once.  Past 32 KB each modulus sums its own bands of
+        # whole rows and folds the sum: rows of 132 bytes (12m) in bands of
+        # 124 rows, the last of 2, mod 11, and three full bands of 2 rows mod
+        # 5981, in (11, 5981), at 32,896 bytes the shortest banded mask here;
+        # two bands of 90 rows and a last band of 4 mod 181, and two of 44
+        # and a last of 3 mod 367, in (181, 367); 7 bands of about 35 rows,
+        # the last partial, in (449, 457).  Wider rows, up to
+        # 255: bands of 3 rows of 5105 bytes mod 1021 and of 2 rows mod 2053
+        # in (1021, 2053), just under the product cap, and of 3 rows mod p in
+        # (17, 123341) and (5, 419429); rows past 8 KB, one per band with
+        # nothing folded, mod q in both (9 and 3 rows)
         assert product_over_transversal(build_transversal(p, q)) == streamed_product(p, q)
 
-    @pytest.mark.parametrize("p,q", [(7, 11), (3, 199), (13, 1009), (17, 1009), (181, 191)])
+    @pytest.mark.parametrize("p,q", [(7, 11), (3, 199), (13, 1009), (17, 1009), (181, 191),
+                                     (181, 359), (181, 367)])
     def test_marked_multiples_zero_the_product(self, p, q):
         # a marked multiple of p (of q) must zero coordinate a (b), whether
-        # the mask is read once, (7, 11) to (17, 1009), or in bands, (181, 191)
+        # the mask is read once, (7, 11) to (181, 359) at 32,490 bytes, or in
+        # bands, (181, 367) at 33,214 bytes
         L = build_transversal(p, q)
         L.mask[p] = L.mask[q] = 1
         assert product_over_transversal(L) == UnitPair(0, 0)
+
+    @pytest.mark.parametrize("p,q,one_read", [(181, 359, True), (181, 367, False)])
+    def test_one_read_up_to_two_bands(self, monkeypatch, p, q, one_read):
+        # a mask of at most 2 * 16 KB, (181, 359) at 32,490 bytes, reaches
+        # _product_mod as one int for both moduli; (181, 367), at 33,214
+        # bytes, as no int, so each modulus reads it in bands
+        wholes = []
+
+        def spy(keep, m, whole=None, table=None):
+            wholes.append(whole)
+            return _product_mod(keep, m, whole, table)
+
+        monkeypatch.setattr(reciprocity_pipeline, "_product_mod", spy)
+        L = build_transversal(p, q)
+        assert product_over_transversal(L) == streamed_product(p, q)
+        expected = int.from_bytes(L.mask, "little") if one_read else None
+        assert wholes == [expected, expected]
 
     @settings(max_examples=200, deadline=None)
     @given(
