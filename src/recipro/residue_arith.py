@@ -6,8 +6,11 @@ the value 0 never occurs because arguments must be coprime to the modulus
 (anything else is a :class:`~recipro.errors.DomainError`).  Odd primes are
 plain validated ints as well, see :func:`validate_odd_prime`.
 
-Everything in this module is a pure, stateless function and safe to call
-concurrently.
+Nothing in this module keeps state between calls but the square tables of
+legendre_oracle, an lru_cache; every function may be called from several
+threads at once.  A large batch of Euler-criterion checks may fork one child
+process for half of its windows, but only while no other thread runs (see
+_halves.run_in_halves).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from math import isqrt, log, perm, prod
 from typing import Iterable
 
 from . import budget
+from ._halves import run_in_halves
 from .errors import DomainError, InternalCheckError
 
 _INT64_LIMIT = 1 << 64
@@ -274,28 +278,38 @@ def _euler_failures(cases: list[tuple[int, int]]) -> set[int]:
     """Indices of the cases (q, p) whose sides of Euler's criterion disagree.
 
     Each distinct p is tested for primality once, in order of first
-    appearance, and one factorial_residues call takes every half factorial
-    before any multiple is taken.  The distinct primes, ascending, are cut
-    into windows of _BLOCK; the k-th case of each prime in a window is
-    a lane of the window's k-th batch of left sides.
+    appearance, one factorial_residues call takes every half factorial, and
+    every q is reduced to a unit, before any multiple is taken.  The distinct
+    primes, ascending, are cut into windows of _BLOCK; the k-th case of each
+    prime in a window is a lane of the window's k-th batch of left sides.
+    The windows are checked by _halves.run_in_halves, each weighed by its
+    lane multiples, the sum of (p-1)/2 over its cases; a window that fails is
+    checked again here for the indices of its failures.
     """
     # every p is an int before any is hashed, so 7.0 or [7] raises DomainError
     primes = [validate_odd_prime(p) for p in dict.fromkeys(_check_int(p) for _, p in cases)]
     half_factorials = dict(zip(primes, factorial_residues([((p - 1) // 2, p) for p in primes])))
-    cases_of = {p: [] for p in sorted(primes)}
+    units = [_unit_mod(qv, p) for qv, p in cases]
+    ascending = sorted(primes)
+    cases_of = {p: [] for p in ascending}
     for i, (_, p) in enumerate(cases):
         cases_of[p].append(i)
-    queues = list(cases_of.values())
-    failures = set()
-    for w in range(0, len(queues), _BLOCK):
-        for batch in zip_longest(*queues[w : w + _BLOCK]):
+    windows = [ascending[w : w + _BLOCK] for w in range(0, len(ascending), _BLOCK)]
+
+    def failures_in(window: list[int]) -> set[int]:
+        failures = set()
+        for batch in zip_longest(*map(cases_of.__getitem__, window)):
             batch = [i for i in batch if i is not None]
-            lanes = [(_unit_mod(qv, p), p) for qv, p in map(cases.__getitem__, batch)]
+            lanes = [(units[i], cases[i][1]) for i in batch]
             for i, (qu, p), left in zip(batch, lanes, _products_of_multiples(lanes)):
                 right = half_factorials[p] if euler_symbol(qu, p) == 1 else -half_factorials[p] % p
                 if left != right:
                     failures.add(i)
-    return failures
+        return failures
+
+    work = [sum(len(cases_of[p]) * (p - 1) // 2 for p in window) for window in windows]
+    passed = run_in_halves(lambda window: not failures_in(window), windows, work)
+    return set().union(*(failures_in(w) for w, ok in zip(windows, passed) if not ok))
 
 
 def euler_criterion_check(q: int, p: int) -> bool:

@@ -7,6 +7,10 @@ refuses a suite name that is not one of SUITE_NAMES, and a case count or a
 seed that is a bool or not an int, with DomainError, and more than
 budget.SUITE_CASE_CAP cases with CapacityError, for every suite, before any
 case is drawn or any prime is sieved.
+
+A lemma1 or euler call over the bound of _halves.run_in_halves, with two
+CPUs usable and no other thread running, checks half of its cases in one
+forked child; its result is the same as in one process.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from math import isqrt, prod
 from typing import Iterable
 
 from . import budget
+from ._halves import run_in_halves
 from .abelian_core import (
     AbelianGroup,
     element_order,
@@ -150,22 +155,27 @@ def _tally(suite: str, outcomes: Iterable[tuple[bool, str]]) -> SuiteResult:
     return SuiteResult(suite, total - len(failures), len(failures), tuple(failures[:20]))
 
 
+def _lemma1_holds(orders: tuple[int, ...]) -> bool:
+    G = AbelianGroup(orders)
+    a = sum_all_elements(G)
+    if rank2(G).rank == 1:
+        torsion = two_torsion_subgroup(G)
+        nontrivial = [e for e in torsion if any(e)]
+        return len(torsion) == 2 and element_order(G, a) == 2 and nontrivial == [a]
+    return not any(a)
+
+
 def run_sum_elements_suite(n_cases: int, seed: int) -> SuiteResult:
     """Suite ``lemma1``: on random groups the sum of all elements is the
     identity exactly when the 2-rank differs from 1, and otherwise is the
-    unique element of order 2."""
-    outcomes = []
-    for orders in random_factor_lists(n_cases, seed):
-        G = AbelianGroup(orders)
-        a = sum_all_elements(G)
-        if rank2(G).rank == 1:
-            torsion = two_torsion_subgroup(G)
-            nontrivial = [e for e in torsion if any(e)]
-            ok = len(torsion) == 2 and element_order(G, a) == 2 and nontrivial == [a]
-        else:
-            ok = not any(a)
-        outcomes.append((ok, f"orders={orders}"))
-    return _tally("lemma1", outcomes)
+    unique element of order 2.
+
+    The groups are checked by _halves.run_in_halves, each weighed by the
+    |G| * k coordinates sum_all_elements reads.
+    """
+    cases = random_factor_lists(n_cases, seed)
+    passed = run_in_halves(_lemma1_holds, cases, [prod(orders) * len(orders) for orders in cases])
+    return _tally("lemma1", zip(passed, (f"orders={orders}" for orders in cases)))
 
 
 def run_quotient_rank_suite(n_cases: int, seed: int) -> SuiteResult:

@@ -112,6 +112,14 @@ class TestSweepCommand:
         assert len(csv_body(result.stdout)) == 1  # header only
         assert "no pairs" in result.stdout
 
+    def test_max_2_summary_ends_no_pairs_in_process(self, capsys):
+        assert main(["sweep", "--max", "2"]) == 0
+        assert capsys.readouterr().out.rstrip("\n").endswith("(no pairs)")
+
+    def test_negative_max_exits_2_in_process(self, capsys):
+        assert main(["sweep", "--max", "-1"]) == 2
+        assert "--max must be nonnegative, got -1" in capsys.readouterr().err
+
     def test_rows_sorted(self):
         result = run_cli("sweep", "--max", "30", "--format", "json")
         doc = json.loads(result.stdout)

@@ -392,6 +392,12 @@ class TestPrimeListing:
         assert first_odd_primes(0) == []
         assert first_odd_primes(20) == odd_primes_up_to(73)
 
+    def test_first_odd_primes_refuses_a_negative_count(self):
+        # without the check, a count of -1 would slice off the last of [3, 5, 7, 11]
+        with pytest.raises(DomainError, match="count must be nonnegative, got -1"):
+            first_odd_primes(-1)
+        assert first_odd_primes(0) == []
+
     def test_first_odd_primes_reach_past_the_rosser_threshold(self):
         # counts below 5 use the fixed bound 11; from 5 on, Rosser's bound on p_(count+1)
         primes = odd_primes_up_to(20_000)

@@ -1,3 +1,5 @@
+import os
+import threading
 from collections import Counter
 from math import prod
 
@@ -6,6 +8,7 @@ import pytest
 from recipro import (
     CapacityError,
     DomainError,
+    InternalCheckError,
     budget,
     euler_criterion_check,
     factorial_mod,
@@ -58,6 +61,11 @@ class TestGenerators:
 
     def test_prime_pairs_deterministic(self):
         assert random_prime_pairs(10, 7) == random_prime_pairs(10, 7)
+
+
+def usable_cpus(monkeypatch, n):
+    """Make the split see n usable CPUs, as under taskset."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def perturb_residues(monkeypatch, bad_moduli):
@@ -209,6 +217,8 @@ class TestRunners:
         assert factorials == lanes == []
 
     def test_euler_batches_distinct_ascending_primes_one_lane_per_case(self, monkeypatch):
+        # one usable CPU keeps every batch in this process, where they are recorded
+        usable_cpus(monkeypatch, 1)
         batches = []
         batched = residue_arith._products_of_multiples
         monkeypatch.setattr(
@@ -345,3 +355,117 @@ class TestRunners:
         with pytest.raises(DomainError, match="^n_cases must be "):
             run_suite(which, n_cases, 0)
         assert drawn == []
+
+
+# lemma1 at 2000 cases reads 3,575,324 coordinates and euler at 10,000 cases
+# takes 4,555,588 lane multiples, both over the bound at which a suite splits
+SPLIT_CALLS = [("lemma1", 2000, 1), ("euler", 10000, 1)]
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTwoProcesses:
+    def test_split_matches_one_process_with_failures_on_both_sides(self, monkeypatch, tmp_path):
+        # each fault writes the id of the process it ran in, which a forked child cannot return
+        faults = tmp_path / "faults"
+        cases = random_factor_lists(2000, 1)
+        bad_orders = {cases[i] for i in (0, 1, 2, 3, 1000, 1001, 1998, 1999)}
+        exact_sum = suites.sum_all_elements
+
+        def faulty_sum(G):
+            a = exact_sum(G)
+            if G.factor_orders not in bad_orders:
+                return a
+            with open(faults, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return ((a[0] + 1) % G.factor_orders[0], *a[1:])
+
+        ascending = sorted({p for _, p in random_euler_cases(10000, 1)})
+        bad_primes = {ascending[0], ascending[16], ascending[-1]}
+        batched = residue_arith._products_of_multiples
+
+        def faulty_lanes(lanes):
+            lefts = batched(lanes)
+            if not bad_primes.isdisjoint(p for _, p in lanes):
+                with open(faults, "a") as f:
+                    f.write(f"{os.getpid()}\n")
+            return [(left + 1) % p if p in bad_primes else left
+                    for (_, p), left in zip(lanes, lefts)]
+
+        monkeypatch.setattr(suites, "sum_all_elements", faulty_sum)
+        monkeypatch.setattr(residue_arith, "_products_of_multiples", faulty_lanes)
+        for call in SPLIT_CALLS:
+            usable_cpus(monkeypatch, 1)
+            faults.write_text("")
+            one = run_suite(*call)
+            assert set(faults.read_text().split()) == {str(os.getpid())}
+            usable_cpus(monkeypatch, 2)
+            faults.write_text("")
+            two = run_suite(*call)
+            no_child_left()
+            assert len(set(faults.read_text().split())) == 2, call
+            assert one.n_fail > 0 and two == one, call
+
+    # how the child fails, and the exit code the parent sees: its check calls
+    # os._exit(3) or raises (code 1); it sends every flag but its os._exit is
+    # made to give 5; or its check raises but its os._exit is made to give 0
+    @pytest.mark.parametrize("call", SPLIT_CALLS)
+    @pytest.mark.parametrize("death,code", [
+        ("exit", 3), ("raise", 1), ("exit 5 after sending", 5), ("raise, then exit 0", 0),
+    ])
+    def test_a_child_that_dies_is_an_internal_check_error(self, call, death, code, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        parent, real_exit = os.getpid(), os._exit
+        if death in ("exit 5 after sending", "raise, then exit 0"):
+            monkeypatch.setattr(os, "_exit", lambda status: real_exit(code))
+        module, name = {"lemma1": (suites, "sum_all_elements"),
+                        "euler": (residue_arith, "_products_of_multiples")}[call[0]]
+        exact = getattr(module, name)
+
+        def dying(arg):
+            if os.getpid() != parent and death != "exit 5 after sending":
+                if death == "exit":
+                    real_exit(3)
+                raise ZeroDivisionError("a fault in the child")
+            return exact(arg)
+
+        monkeypatch.setattr(module, name, dying)
+        with pytest.raises(InternalCheckError, match=f"exited with code {code} after sending"):
+            run_suite(*call)
+        no_child_left()
+
+    @pytest.mark.parametrize("why", ["a second thread", "one CPU", "work under the bound"])
+    def test_fork_is_not_called(self, why, monkeypatch):
+        usable_cpus(monkeypatch, 1 if why == "one CPU" else 2)
+
+        def refuse_fork():
+            raise AssertionError("os.fork was called")
+
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        calls = SPLIT_CALLS
+        if why == "work under the bound":
+            # 924,887 lane multiples and 147,634 coordinate reads
+            calls = [("euler", 2000, 1), ("lemma1", 100, 1)]
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(30,))
+        if why == "a second thread":
+            thread.start()
+        try:
+            assert all(run_suite(*call).all_pass for call in calls)
+        finally:
+            stop.set()
+            if thread.is_alive():
+                thread.join(timeout=30)
+        assert not thread.is_alive()
+
+    def test_a_failed_fork_checks_every_item_here(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+
+        def no_processes():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_processes)
+        assert all(run_suite(*call).all_pass for call in SPLIT_CALLS)
