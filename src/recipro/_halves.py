@@ -1,11 +1,12 @@
 """Independent checks run as two halves, one of them in a forked child.
 
 A suite whose checks are independent hands them to :func:`run_in_halves`.
-When the call's work is large, two CPUs are usable and no other thread runs,
-the calling process checks one half while exactly one ``os.fork()`` child
-checks the other and sends back one flag byte per item through a pipe;
-otherwise every check runs here, in order.  Either way the flags are the
-same, so a suite's result does not depend on which way it ran.
+When the call's work is large, two CPUs are usable, no other thread runs and
+none of the functions the checks call is wrapped, the calling process checks
+one half while exactly one ``os.fork()`` child checks the other and sends back
+one flag byte per item through a pipe; otherwise every check runs here, in
+order.  Either way the flags are the same, so a suite's result does not
+depend on which way it ran.
 """
 
 from __future__ import annotations
@@ -31,20 +32,24 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_in_halves(check: Callable[[object], bool], items: Sequence, work: Sequence[int]) -> list[bool]:
+def run_in_halves(check: Callable[[object], bool], items: Sequence, work: Sequence[int],
+                  callees: Sequence[Callable]) -> list[bool]:
     """[check(item) for item in items], the items split over two processes
-    when that pays; work[i] is item i's cost in the caller's steps.
+    when that pays; work[i] is item i's cost in the caller's steps, and
+    callees are the functions check calls.
 
     The split needs os.fork, at least two usable CPUs, no thread but this
     one (a forked child would hold only a copy of it, and none of the locks
-    the others held), and sum(work) >= _SPLIT_WORK.  Each item, in order, goes
+    the others held), no callee with a __wrapped__ attribute (a tracer's or
+    profiler's wrapper, as functools.wraps makes, counts only the calls made
+    in its own process), and sum(work) >= _SPLIT_WORK.  Each item, in order, goes
     to the half with less work so far; the child checks its half, writes its
     flags and always ends with os._exit, and is reaped here even when a check
     of this half raises.  A child that exits nonzero or sends the wrong
     number of flags is an InternalCheckError.
     """
     if (not hasattr(os, "fork") or sum(work) < _SPLIT_WORK or _usable_cpus() < 2
-            or threading.active_count() != 1):
+            or threading.active_count() != 1 or any(hasattr(f, "__wrapped__") for f in callees)):
         return [check(item) for item in items]
     halves, loads = ([], []), [0, 0]
     for i, w in enumerate(work):

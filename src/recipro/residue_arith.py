@@ -308,7 +308,8 @@ def _euler_failures(cases: list[tuple[int, int]]) -> set[int]:
         return failures
 
     work = [sum(len(cases_of[p]) * (p - 1) // 2 for p in window) for window in windows]
-    passed = run_in_halves(lambda window: not failures_in(window), windows, work)
+    passed = run_in_halves(lambda window: not failures_in(window), windows, work,
+                           (_products_of_multiples, euler_symbol))
     return set().union(*(failures_in(w) for w, ok in zip(windows, passed) if not ok))
 
 

@@ -1,3 +1,4 @@
+import functools
 import os
 import threading
 from collections import Counter
@@ -437,7 +438,8 @@ class TestTwoProcesses:
             run_suite(*call)
         no_child_left()
 
-    @pytest.mark.parametrize("why", ["a second thread", "one CPU", "work under the bound"])
+    @pytest.mark.parametrize("why", ["a second thread", "one CPU", "work under the bound",
+                                     "a wrapped callee"])
     def test_fork_is_not_called(self, why, monkeypatch):
         usable_cpus(monkeypatch, 1 if why == "one CPU" else 2)
 
@@ -445,6 +447,12 @@ class TestTwoProcesses:
             raise AssertionError("os.fork was called")
 
         monkeypatch.setattr(os, "fork", refuse_fork)
+        if why == "a wrapped callee":
+            # as a tracer wraps them: the group walk on its class, a lane product in its module
+            for owner, name in [(suites.AbelianGroup, "iter_coords"),
+                                (residue_arith, "_products_of_multiples")]:
+                monkeypatch.setattr(owner, name, functools.wraps(getattr(owner, name))(
+                    lambda *args, inner=getattr(owner, name): inner(*args)))
         calls = SPLIT_CALLS
         if why == "work under the bound":
             # 924,887 lane multiples and 147,634 coordinate reads
