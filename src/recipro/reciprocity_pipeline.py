@@ -22,7 +22,9 @@ verify_pairs runs verify_pair over a run of pairs and holds, for that call
 only, one discrete-log table for each prime found in two or more of them,
 so the residue stage of such a prime is one C-level dot product.  A lone
 pair, and verify_pair called on its own, count the residues one by one.
-No table outlives its call.
+No table outlives its call.  It checks every pair's shape before the first
+verdict, and a large enough run is split over two processes by
+_halves.run_in_halves, with the same verdicts in the same order.
 
 Pure functions throughout, apart from the tables dict each verify_pairs
 call fills for itself; sweeps over many pairs may run concurrently.
@@ -37,9 +39,10 @@ from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
 from . import budget
+from ._halves import run_in_halves
 from .errors import DomainError, InternalCheckError
 from .quotient_rank import rank2_quotient_formula
-from .residue_arith import euler_symbol, validate_odd_prime
+from .residue_arith import _check_int, euler_symbol, validate_odd_prime
 
 RELATION_EQUAL = 1
 RELATION_OPPOSITE = -1
@@ -300,6 +303,20 @@ class PairVerdict:
     def all_pass(self) -> bool:
         return all(self.checks.values())
 
+    def __reduce__(self):
+        # pickled as plain values, as a split verify_pairs call's child sends
+        # each verdict: a third of the time of pickling the objects themselves
+        return (_verdict, (self.p, self.q, self.rank, *self.product_L, *self.closed_form,
+                           self.legendre_qp, self.legendre_pq, self.predicted_relation,
+                           self.qr_identity_holds, tuple(self.checks), tuple(self.checks.values())))
+
+
+def _verdict(p, q, rank, a, b, closed_a, closed_b, leg_qp, leg_pq, predicted, qr_holds,
+             names, flags) -> PairVerdict:
+    """The PairVerdict that PairVerdict.__reduce__ flattened."""
+    return PairVerdict(p, q, rank, UnitPair(a, b), UnitPair(closed_a, closed_b), leg_qp, leg_pq,
+                       predicted, qr_holds, dict(zip(names, flags)))
+
 
 def verify_pair(p: int, q: int,
                 tables: dict[int, _LogTable | None] | None = None) -> PairVerdict:
@@ -358,15 +375,47 @@ def verify_pair(p: int, q: int,
     )
 
 
+def _precheck(p: int, q: int) -> None:
+    """What Transversal checks of (p, q) short of primality, in integer arithmetic.
+
+    Each prime an int, odd and >= 3, the two distinct, and pq within the
+    stream cap.  A non-int, an even prime, 1, an equal pair or pq over the
+    cap raises the error, in the same words, that a Transversal of the pair
+    raises; an odd composite passes, and its Transversal's primality test
+    finds it.
+    """
+    for m in (p, q):
+        if _check_int(m) < 3 or m % 2 == 0:
+            raise DomainError("2 is not odd" if m == 2 else f"{m} is not prime")
+    if p == q:
+        raise DomainError("primes must be distinct")
+    budget.require_within(p * q, budget.STREAM_PRODUCT_CAP, "transversal")
+
+
 def verify_pairs(pairs: Iterable[tuple[int, int]]) -> Iterator[PairVerdict]:
     """verify_pair on every pair, yielding the verdicts in pair order.
+
+    Before the first verdict, every pair is checked by _precheck, so a
+    malformed pair, an even or equal prime, or a pair over the stream cap
+    raises before any pair is verified; a composite odd prime still raises
+    when its pair's turn comes, from the one primality test its Transversal
+    makes.
+
+    The pairs are checked by _halves.run_in_halves, each weighed by
+    530 + pq // 12 of its steps (about 30 ns each): about 16 us per pair
+    plus 4.8 ns per k-step, fitted on sweeps to 150 and 200 in one process.  So a sweep
+    to 200 (990 pairs) may run in two processes and a sweep to 150 (561
+    pairs) does not.  verify_pair and the functions it calls are read at
+    call time, so a replacement of verify_pair is the one called, and a
+    wrapped one keeps the call in one process.
 
     Each prime found in two or more of the pairs gets a slot in one tables
     dict, held by this call alone; its log table is built when its first
     pair's product needs it, once its Transversal has validated it, so no
-    prime is tested twice.  A prime in one pair only keeps the per-residue
-    loop, which costs less than building a table.  verify_pair is looked up
-    for each pair, so a replacement of it is the one called.
+    prime is tested twice.  A split call's child fills its own copy of the
+    dict, so each process builds the tables its own pairs use.  A prime in
+    one pair only keeps the per-residue loop, which costs less than
+    building a table.
     """
     try:
         pairs = [(p, q) for p, q in pairs]
@@ -374,6 +423,10 @@ def verify_pairs(pairs: Iterable[tuple[int, int]]) -> Iterator[PairVerdict]:
     except (TypeError, ValueError):
         raise DomainError(
             f"verify_pairs needs an iterable of (p, q) pairs, got {pairs!r}") from None
-    tables: dict[int, _LogTable | None] = {m: None for m, n in counts.items() if n > 1}
     for p, q in pairs:
-        yield verify_pair(p, q, tables)
+        _precheck(p, q)
+    tables: dict[int, _LogTable | None] = {m: None for m, n in counts.items() if n > 1}
+    callees = (verify_pair, build_transversal, product_over_transversal, verify_transversal,
+               validate_odd_prime, euler_symbol, rank2_quotient_formula)
+    yield from run_in_halves(lambda pair: verify_pair(*pair, tables), pairs,
+                             (530 + p * q // 12 for p, q in pairs), callees)

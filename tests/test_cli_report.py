@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from recipro import DomainError, UnitPair, __version__, budget, odd_primes_up_to, suites
 from recipro.cli_report import SWEEP_FIELDS, build_parser, main
 from recipro.reciprocity_pipeline import PairVerdict
+from _processes import count_forks, no_child_left, usable_cpus
 
 EXPECTED_HEADER = (
     "p,q,p_mod4,q_mod4,rank,prodL_p,prodL_q,closed_p,closed_q,"
@@ -238,6 +239,20 @@ class TestSweepCommand:
         body = json.dumps({"rows": doc["rows"], "summary": doc["summary"]}, sort_keys=True)
         assert hashlib.sha256(body.encode()).hexdigest() == (
             "4d83901a14558b8a789be2c598787def0c1b3d7d8277d966e8f42bc33102f39b"
+        )
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_sweep_200_matches_its_pinned_digest_in_one_process_and_in_two(self, cpus, capsys,
+                                                                           monkeypatch):
+        # sweep 200's pairs are over the bound at which verify_pairs splits
+        usable_cpus(monkeypatch, cpus)
+        forks = count_forks(monkeypatch)
+        assert main(["sweep", "--max", "200"]) == 0
+        body = "\n".join(csv_body(capsys.readouterr().out)) + "\n"
+        assert len(forks) == cpus - 1
+        no_child_left()
+        assert hashlib.sha256(body.encode()).hexdigest() == (
+            "21bb85f5e32d574cb137d62891a93be8ad3e25ca2bea78c0f755258fee0bfc65"
         )
 
     def test_seed_recorded_in_header(self):

@@ -1,4 +1,9 @@
+import functools
+import os
+import pickle
 import random
+import threading
+import time
 from itertools import compress
 
 import pytest
@@ -23,6 +28,7 @@ from recipro import (
 from recipro import reciprocity_pipeline, residue_arith
 from recipro.reciprocity_pipeline import _log_table, _primitive_root, _product_mod
 from _oracles import crt_transversal_ok, streamed_product
+from _processes import count_forks, no_child_left, refuse_fork, usable_cpus
 
 SMALL_PAIRS = [
     (p, q)
@@ -630,6 +636,222 @@ class TestVerifyPairs:
         failed = [(v.p, v.q) for v in verify_pairs(SMALL_PAIRS)
                   if not v.checks["product_matches_closed_form"]]
         assert failed == [(p, q) for p, q in SMALL_PAIRS if 13 in (p, q)]
+
+
+class TestFailFast:
+    """verify_pairs checks every pair's shape before the first verdict and
+    before any fork, with no primality test."""
+
+    @pytest.mark.parametrize("bad,error,message", [
+        ((3, 4), DomainError, "^4 is not prime$"),
+        ((2, 5), DomainError, "^2 is not odd$"),
+        ((1, 5), DomainError, "^1 is not prime$"),
+        ((7, 7), DomainError, "^primes must be distinct$"),
+        ((3.0, 5), DomainError, "^argument must be an integer, got 3.0$"),
+        ((5, True), DomainError, "^argument must be an integer, got True$"),
+        ((1447, 1451), CapacityError, "^transversal needs 2099597 steps"),
+    ])
+    def test_a_bad_last_pair_raises_before_the_first_verdict(self, bad, error, message,
+                                                             monkeypatch):
+        # the same error the pair's own Transversal gives
+        with pytest.raises(error, match=message):
+            Transversal(*bad)
+
+        def refuse(n):
+            raise AssertionError(f"{n} was tested for primality")
+
+        monkeypatch.setattr(residue_arith, "is_prime", refuse)
+        usable_cpus(monkeypatch, 2)
+        refuse_fork(monkeypatch)
+        verdicts = verify_pairs(SWEEP_200_PAIRS + [bad])
+        with pytest.raises(error, match=message):
+            next(verdicts)
+
+    def test_a_composite_prime_is_found_in_its_turn(self):
+        pairs = SMALL_PAIRS[:5] + [(3, 9)] + SMALL_PAIRS[5:]
+        verdicts = verify_pairs(pairs)
+        assert [(v.p, v.q) for _, v in zip(range(5), verdicts)] == SMALL_PAIRS[:5]
+        with pytest.raises(DomainError, match="^9 is not prime$"):
+            next(verdicts)
+
+
+def record_processes(monkeypatch, log):
+    """Make verify_pair write the id of its process and its pair to log before
+    it checks the pair.  The replacement has no __wrapped__, so a call may
+    still split."""
+    exact = reciprocity_pipeline.verify_pair
+
+    def recorded(p, q, tables=None):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {p} {q}\n")
+        return exact(p, q, tables)
+
+    monkeypatch.setattr(reciprocity_pipeline, "verify_pair", recorded)
+
+
+def child_positions(monkeypatch, log):
+    """The positions in SWEEP_200_PAIRS that a split verify_pairs checks in its
+    child; a pair's half depends only on the pairs before it.  Undoes every
+    patch the test has made so far."""
+    usable_cpus(monkeypatch, 2)
+    record_processes(monkeypatch, log)
+    assert all(v.all_pass for v in verify_pairs(SWEEP_200_PAIRS))
+    no_child_left()
+    pid_of = {}
+    for line in log.read_text().splitlines():
+        pid, p, q = map(int, line.split())
+        pid_of[p, q] = pid
+    monkeypatch.undo()
+    return {i for i, pair in enumerate(SWEEP_200_PAIRS) if pid_of[pair] != os.getpid()}
+
+
+class TestTwoProcesses:
+    """verify_pairs over SWEEP_200_PAIRS, whose work is over the bound at
+    which run_in_halves splits, gives the same verdicts, errors included,
+    in one process and in two."""
+
+    def test_split_matches_one_process_with_mask_faults_in_both_halves(self, monkeypatch,
+                                                                       tmp_path):
+        # each fault writes the id of the process it ran in
+        faults = tmp_path / "faults"
+        bad = {SWEEP_200_PAIRS[i] for i in (0, 1, 2, 3, 500, 501, 988, 989)}
+
+        def shift_bad(keep, p, q):
+            if (p, q) not in bad:
+                return keep
+            with open(faults, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return shift_by_one(keep, p, q)
+
+        tamper_mask(monkeypatch, shift_bad)
+        forks = count_forks(monkeypatch)
+        usable_cpus(monkeypatch, 1)
+        one = list(verify_pairs(SWEEP_200_PAIRS))
+        assert set(faults.read_text().split()) == {str(os.getpid())} and not forks
+        usable_cpus(monkeypatch, 2)
+        faults.write_text("")
+        two = list(verify_pairs(SWEEP_200_PAIRS))
+        no_child_left()
+        assert len(forks) == 1 and len(set(faults.read_text().split())) == 2
+        assert [(v.p, v.q) for v in one if not v.all_pass] == [
+            pair for pair in SWEEP_200_PAIRS if pair in bad]
+        assert two == one
+
+    def test_a_composite_prime_in_the_childs_half_raises_in_its_turn(self, monkeypatch,
+                                                                      tmp_path):
+        i = min(k for k in child_positions(monkeypatch, tmp_path / "halves") if k > 400)
+        pairs = list(SWEEP_200_PAIRS)
+        pairs[i] = (3, 9)
+        log = tmp_path / "pids"
+        record_processes(monkeypatch, log)
+        runs = {}
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            verdicts = []
+            with pytest.raises(DomainError, match="^9 is not prime$"):
+                verdicts.extend(verify_pairs(pairs))
+            no_child_left()
+            runs[cpus] = verdicts
+        assert len(runs[1]) == i and runs[2] == runs[1]
+        tested = [int(line.split()[0]) for line in log.read_text().splitlines()
+                  if line.endswith(" 3 9")]
+        assert tested[0] == os.getpid() and tested[1] != os.getpid()
+
+    @pytest.mark.parametrize("first", ["child", "this process"])
+    def test_the_first_error_in_pair_order_is_raised(self, first, monkeypatch, tmp_path):
+        in_child = child_positions(monkeypatch, tmp_path / "halves")
+        # an error at i, in the first half, and one at j > i in the other
+        i = min(k for k in range(300, 990) if (k in in_child) == (first == "child"))
+        j = min(k for k in range(i + 1, 990) if (k in in_child) != (first == "child"))
+        faulty = {SWEEP_200_PAIRS[i]: "at i", SWEEP_200_PAIRS[j]: "at j"}
+        parent, exact = os.getpid(), reciprocity_pipeline.verify_pair
+
+        def failing(p, q, tables=None):
+            if (p, q) in faulty:
+                if os.getpid() != parent:
+                    # this process checks its own pairs ahead of their turn meanwhile
+                    time.sleep(0.5)
+                raise DomainError(faulty[p, q])
+            return exact(p, q, tables)
+
+        monkeypatch.setattr(reciprocity_pipeline, "verify_pair", failing)
+        usable_cpus(monkeypatch, 2)
+        verdicts = []
+        with pytest.raises(DomainError, match="^at i$"):
+            verdicts.extend(verify_pairs(SWEEP_200_PAIRS))
+        no_child_left()
+        assert verdicts == [exact(p, q) for p, q in SWEEP_200_PAIRS[:i]]
+
+    @pytest.mark.parametrize("death,code", [("exit", 3), ("raise", 1)])
+    def test_a_child_that_dies_is_an_internal_check_error(self, death, code, monkeypatch):
+        parent, exact = os.getpid(), reciprocity_pipeline.verify_pair
+
+        def dying(p, q, tables=None):
+            if os.getpid() != parent:
+                if death == "exit":
+                    os._exit(3)
+                raise ZeroDivisionError("a fault in the child")
+            return exact(p, q, tables)
+
+        monkeypatch.setattr(reciprocity_pipeline, "verify_pair", dying)
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(InternalCheckError, match=f"exited with code {code} after sending 0"):
+            list(verify_pairs(SWEEP_200_PAIRS))
+        no_child_left()
+
+    def test_a_caller_that_stops_drawing_leaves_no_child(self, monkeypatch):
+        parent, exact, slept = os.getpid(), reciprocity_pipeline.verify_pair, []
+
+        def slow_in_the_child(p, q, tables=None):
+            if os.getpid() != parent and not slept:
+                slept.append(None)
+                time.sleep(60)
+            return exact(p, q, tables)
+
+        monkeypatch.setattr(reciprocity_pipeline, "verify_pair", slow_in_the_child)
+        usable_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        verdicts = verify_pairs(SWEEP_200_PAIRS)
+        assert next(verdicts).all_pass
+        start = time.monotonic()
+        verdicts.close()
+        # the child is killed, not waited for
+        assert time.monotonic() - start < 10
+        assert len(forks) == 1
+        no_child_left()
+
+    def test_a_verdict_pickles_as_itself(self):
+        v = verify_pair(197, 199)
+        assert pickle.loads(pickle.dumps(v)) == v
+        stub = reciprocity_pipeline.PairVerdict(3, 5, 1, UnitPair(2, 1), UnitPair(2, 1), -1, -1,
+                                                1, True, {"qr_identity": False})
+        assert pickle.loads(pickle.dumps(stub)) == stub
+
+    @pytest.mark.parametrize("why", ["one CPU", "a second thread", "a wrapped verify_pair",
+                                     "a sweep to 150"])
+    def test_fork_is_not_called(self, why, monkeypatch):
+        usable_cpus(monkeypatch, 1 if why == "one CPU" else 2)
+        refuse_fork(monkeypatch)
+        pairs = SWEEP_200_PAIRS
+        if why == "a wrapped verify_pair":
+            # as the benchmark's tracer wraps it
+            exact = reciprocity_pipeline.verify_pair
+            monkeypatch.setattr(reciprocity_pipeline, "verify_pair",
+                                functools.wraps(exact)(lambda *args: exact(*args)))
+        if why == "a sweep to 150":
+            pairs = [(p, q) for p, q in SWEEP_200_PAIRS if q <= 150]
+            assert len(pairs) == 561
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(30,))
+        if why == "a second thread":
+            thread.start()
+        try:
+            assert [(v.p, v.q) for v in verify_pairs(pairs) if v.all_pass] == pairs
+        finally:
+            stop.set()
+            if thread.is_alive():
+                thread.join(timeout=30)
+        assert not thread.is_alive()
 
 
 class TestValidateOnce:

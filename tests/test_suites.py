@@ -30,6 +30,7 @@ from recipro.suites import (
     run_suite,
 )
 from _oracles import factorial_by_running_product
+from _processes import no_child_left, refuse_fork, usable_cpus
 
 
 class TestGenerators:
@@ -62,11 +63,6 @@ class TestGenerators:
 
     def test_prime_pairs_deterministic(self):
         assert random_prime_pairs(10, 7) == random_prime_pairs(10, 7)
-
-
-def usable_cpus(monkeypatch, n):
-    """Make the split see n usable CPUs, as under taskset."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def perturb_residues(monkeypatch, bad_moduli):
@@ -363,11 +359,6 @@ class TestRunners:
 SPLIT_CALLS = [("lemma1", 2000, 1), ("euler", 10000, 1)]
 
 
-def no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestTwoProcesses:
     def test_split_matches_one_process_with_failures_on_both_sides(self, monkeypatch, tmp_path):
         # each fault writes the id of the process it ran in, which a forked child cannot return
@@ -442,11 +433,7 @@ class TestTwoProcesses:
                                      "a wrapped callee"])
     def test_fork_is_not_called(self, why, monkeypatch):
         usable_cpus(monkeypatch, 1 if why == "one CPU" else 2)
-
-        def refuse_fork():
-            raise AssertionError("os.fork was called")
-
-        monkeypatch.setattr(os, "fork", refuse_fork)
+        refuse_fork(monkeypatch)
         if why == "a wrapped callee":
             # as a tracer wraps them: the group walk on its class, a lane product in its module
             for owner, name in [(suites.AbelianGroup, "iter_coords"),
