@@ -5,20 +5,21 @@ the ``lemma1`` and ``euler`` suites, whose checks give bools, and
 ``reciprocity_pipeline.verify_pairs``, whose checks give pair verdicts.
 When the call's work is large, two CPUs are usable, no other thread runs and
 none of the functions the checks call is wrapped, the calling process checks
-one half while exactly one ``os.fork()`` child checks the other and sends
-back each result, pickled, through a pipe; otherwise every check runs here,
-in order.  Either way the results come back in item order and are the same,
-so a caller's output does not depend on which way it ran.
+the first items, until they hold half of the work, while exactly one
+``os.fork()`` child checks the rest and sends back their results, pickled,
+through a pipe; otherwise every check runs here, in order.  Either way the
+results come back in item order and are the same, so a caller's output does
+not depend on which way it ran.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
-import select
 import signal
 import threading
-from collections import deque
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InternalCheckError, ReciproError
@@ -51,34 +52,27 @@ def run_in_halves(check: Callable[[object], object], items: Sequence, work: Iter
     it, and none of the locks the others held), no callee with a __wrapped__
     attribute (a tracer's or profiler's wrapper, as functools.wraps makes,
     counts only the calls made in its own process), and
-    sum(work) >= _SPLIT_WORK.  Each item, in order, goes to the half with
-    less work so far.  The child checks its half in order and writes each
-    result, pickled after its length, through a write buffer (4 KB on Linux
-    pipes), so it sends results in batches and runs at most a buffer and a
-    pipe ahead.  This process yields every result in item order: its own in
-    their turn, the child's as they come in.  While the child's next result
-    is not in yet, it checks its own next items ahead of their turn and
-    holds their results, so it holds only what it checked while it would
-    have waited.
+    sum(work) >= _SPLIT_WORK.  This process checks and yields the items of
+    the least prefix that holds half of the work; the child checks the rest,
+    pickles each result into a buffer and writes the buffer through a pipe
+    in one write once it is done.  This process then reads the pipe to its
+    end, reaps the child, and only then yields the child's results.
 
-    A ReciproError that a check raises in the child, or here ahead of its
-    item's turn, is raised here in that turn, as one process would raise
-    it; the child sends it in place of its result and sends nothing after
-    it.  The child always ends with os._exit.  It is reaped here once its
-    last result is read, and killed and reaped when this generator stops
-    early: on an error, or when its caller stops drawing and closes it.  A
-    child that exits nonzero or sends too few results is an
-    InternalCheckError.
+    A ReciproError that a check raises is raised here in its item's turn,
+    as one process would raise it; the child sends it in place of its
+    result and checks nothing after it.  The child always ends with
+    os._exit, and is killed and reaped when this generator stops early: on
+    an error, or when its caller stops drawing and closes it.  A child that
+    exits nonzero, or whose stream is short or garbled, is an
+    InternalCheckError, raised before any of its results is yielded when it
+    exits nonzero, so a caller that stops at the last item still sees it.
     """
     pid = None
     if (hasattr(os, "fork") and _usable_cpus() >= 2 and threading.active_count() == 1
             and not any(hasattr(f, "__wrapped__") for f in callees)):
-        theirs, loads = bytearray(), [0, 0]  # theirs[i] is 1 for the child's items
-        for w in work:
-            side = loads[1] < loads[0]
-            theirs.append(side)
-            loads[side] += w
-        if sum(loads) >= _SPLIT_WORK:
+        loads = list(accumulate(work))
+        if loads and loads[-1] >= _SPLIT_WORK:
+            cut = next(k for k, load in enumerate(loads, 1) if 2 * load >= loads[-1])
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -92,100 +86,39 @@ def run_in_halves(check: Callable[[object], object], items: Sequence, work: Iter
         status = 1
         try:
             os.close(read_end)
+            buffer = io.BytesIO()
+            for item in items[cut:]:
+                try:
+                    pickle.dump(check(item), buffer, pickle.HIGHEST_PROTOCOL)
+                except ReciproError as exc:  # sent in place of its result
+                    pickle.dump(exc, buffer, pickle.HIGHEST_PROTOCOL)
+                    break
             with open(write_end, "wb") as pipe:
-                for item in (item for item, child in zip(items, theirs) if child):
-                    result = _outcome(check, item)
-                    data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-                    pipe.write(len(data).to_bytes(4, "little") + data)
-                    if isinstance(result, ReciproError):
-                        break
+                pipe.write(buffer.getbuffer())
             status = 0
         finally:
             os._exit(status)
     os.close(write_end)
-    inbox = _Inbox(read_end)
-    mine = deque(item for item, child in zip(items, theirs) if not child)
-    held = deque()  # outcomes of this process's items, checked ahead of their turn
-    owed, code = sum(theirs), None
+    pipe, code = open(read_end, "rb"), None
     try:
-        for child in theirs:
-            if not child:
-                result = held.popleft() if held else check(mine.popleft())
-            else:
-                while mine and not inbox.ready():
-                    held.append(_outcome(check, mine.popleft()))
-                try:
-                    result = inbox.take()
-                except EOFError:  # the child ended short of this result
-                    break
-                owed -= 1
-                if not owed:
-                    code = _reap(pid, inbox)
-                    if code:
-                        break
-            if isinstance(result, ReciproError):
-                raise result
-            yield result
-        if code is None:
-            code = _reap(pid, inbox)
+        yield from map(check, items[:cut])
+        data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     finally:
+        pipe.close()
         if code is None:  # stopped early: the child may still be checking
             os.kill(pid, signal.SIGKILL)
-            _reap(pid, inbox)
-    if code or owed:
-        raise InternalCheckError(
-            f"the child checking {sum(theirs)} of {len(items)} items exited with code {code}"
-            f" after sending {sum(theirs) - owed} results")
-
-
-def _outcome(check: Callable[[object], object], item):
-    """check(item), or the ReciproError it raised, to be raised again in the item's turn."""
-    try:
-        return check(item)
-    except ReciproError as exc:
-        return exc
-
-
-class _Inbox:
-    """The child's results as they come in through the pipe, each one sent as
-    a pickle after its length in 4 little-endian bytes."""
-
-    def __init__(self, fd: int):
-        self.pipe = open(fd, "rb", buffering=0)
-        self.poll = select.poll()
-        self.poll.register(fd, select.POLLIN)
-        self.data, self.results, self.ended = bytearray(), deque(), False
-
-    def _read(self) -> None:
-        """One read of the pipe; every result now whole is decoded into results."""
-        chunk = self.pipe.read(1 << 16)
-        self.ended = not chunk
-        data, start = self.data, 0
-        data += chunk
-        # short of 4 bytes, data also falls short of 4 plus the length they begin
-        while len(data) >= (end := start + 4 + int.from_bytes(data[start : start + 4], "little")):
-            self.results.append(pickle.loads(data[start + 4 : end]))
-            start = end
-        del data[:start]
-
-    def ready(self) -> bool:
-        """True once a result is in or the child has closed the pipe, never waiting."""
-        while not self.results and not self.ended:
-            if not self.poll.poll(0):
-                return False
-            self._read()
-        return True
-
-    def take(self):
-        """The next result, waiting for it; EOFError if the child closed the pipe first."""
-        while not self.results:
-            if self.ended:
-                raise EOFError
-            self._read()
-        return self.results.popleft()
-
-
-def _reap(pid: int, inbox: _Inbox) -> int:
-    """Close the read end, then wait for the child: a child still writing cannot block it."""
-    inbox.pipe.close()
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.waitpid(pid, 0)
+    failed = InternalCheckError(f"the child checking {len(items) - cut} of {len(items)} items"
+                                f" exited with code {code} after sending {len(data)} bytes")
+    if code:
+        raise failed
+    stream = io.BytesIO(data)
+    for _ in range(cut, len(items)):
+        try:
+            result = pickle.load(stream)
+        except Exception as exc:  # a short or garbled stream
+            raise failed from exc
+        if isinstance(result, ReciproError):
+            raise result
+        yield result

@@ -73,6 +73,23 @@ def _validate_pair(p: int, q: int) -> None:
         raise DomainError("primes must be distinct")
 
 
+def _precheck(p: int, q: int) -> None:
+    """The check a Transversal makes of (p, q) before its primality tests.
+
+    Each prime an int, odd and >= 3, the two distinct, and pq within the
+    stream cap, in integer arithmetic.  A non-int, an even prime, a prime
+    below 3, an equal pair or pq over the cap raises here, so verify_pairs
+    and a Transversal of the pair raise the same error; an odd composite
+    passes, and the Transversal's primality test finds it.
+    """
+    for m in (p, q):
+        if _check_int(m) < 3 or m % 2 == 0:
+            raise DomainError("2 is not odd" if m == 2 else f"{m} is not prime")
+    if p == q:
+        raise DomainError("primes must be distinct")
+    budget.require_within(p * q, budget.STREAM_PRODUCT_CAP, "transversal")
+
+
 @dataclass(frozen=True)
 class Transversal:
     """Coset representatives (k mod p, k mod q), k ascending over (0, pq/2).
@@ -80,8 +97,9 @@ class Transversal:
     mask holds pq/2 + 1 bytes, built once at construction: keep[k] is 1 iff
     p and q both do not divide k, so the marked k (never k = 0, a multiple
     of both) are exactly the k of the representatives, which are never
-    formed.  pq is capped for the pass over k, after the primes are
-    validated and before the mask is built.
+    formed.  The pair's shape and pq's cap for the pass over k are checked
+    first, by _precheck, then each prime's primality, and only then is the
+    mask built.
     """
 
     p: int
@@ -90,8 +108,9 @@ class Transversal:
 
     def __post_init__(self):
         p, q = self.p, self.q
-        _validate_pair(p, q)
-        budget.require_within(p * q, budget.STREAM_PRODUCT_CAP, "transversal")
+        _precheck(p, q)
+        validate_odd_prime(p)
+        validate_odd_prime(q)
         half = p * q // 2
         keep = bytearray([1]) * (half + 1)
         keep[::p] = bytes(len(range(0, half + 1, p)))
@@ -375,39 +394,25 @@ def verify_pair(p: int, q: int,
     )
 
 
-def _precheck(p: int, q: int) -> None:
-    """What Transversal checks of (p, q) short of primality, in integer arithmetic.
-
-    Each prime an int, odd and >= 3, the two distinct, and pq within the
-    stream cap.  A non-int, an even prime, 1, an equal pair or pq over the
-    cap raises the error, in the same words, that a Transversal of the pair
-    raises; an odd composite passes, and its Transversal's primality test
-    finds it.
-    """
-    for m in (p, q):
-        if _check_int(m) < 3 or m % 2 == 0:
-            raise DomainError("2 is not odd" if m == 2 else f"{m} is not prime")
-    if p == q:
-        raise DomainError("primes must be distinct")
-    budget.require_within(p * q, budget.STREAM_PRODUCT_CAP, "transversal")
-
-
 def verify_pairs(pairs: Iterable[tuple[int, int]]) -> Iterator[PairVerdict]:
     """verify_pair on every pair, yielding the verdicts in pair order.
 
-    Before the first verdict, every pair is checked by _precheck, so a
-    malformed pair, an even or equal prime, or a pair over the stream cap
-    raises before any pair is verified; a composite odd prime still raises
-    when its pair's turn comes, from the one primality test its Transversal
-    makes.
+    Before the first verdict, every pair is checked by _precheck, the check
+    each Transversal makes first, so a malformed pair, an even or equal
+    prime, or a pair over the stream cap raises before any pair is verified,
+    with the error the pair's own Transversal raises; a composite odd prime
+    still raises when its pair's turn comes, from the one primality test its
+    Transversal makes.
 
     The pairs are checked by _halves.run_in_halves, each weighed by
     530 + pq // 12 of its steps (about 30 ns each): about 16 us per pair
-    plus 4.8 ns per k-step, fitted on sweeps to 150 and 200 in one process.  So a sweep
-    to 200 (990 pairs) may run in two processes and a sweep to 150 (561
-    pairs) does not.  verify_pair and the functions it calls are read at
-    call time, so a replacement of verify_pair is the one called, and a
-    wrapped one keeps the call in one process.
+    plus 4.8 ns per k-step, fitted on sweeps to 150 and 200 in one process.
+    So a sweep to 200 (990 pairs) may run in two processes, its first 711
+    pairs here and the last 279 in the child, whose verdicts come back once
+    it is done; a sweep to 150 (561 pairs) does not.  verify_pair and the
+    functions it calls are read at call time, so a replacement of
+    verify_pair is the one called, and a wrapped one keeps the call in one
+    process.
 
     Each prime found in two or more of the pairs gets a slot in one tables
     dict, held by this call alone; its log table is built when its first

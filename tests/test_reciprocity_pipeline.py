@@ -650,6 +650,11 @@ class TestFailFast:
         ((3.0, 5), DomainError, "^argument must be an integer, got 3.0$"),
         ((5, True), DomainError, "^argument must be an integer, got True$"),
         ((1447, 1451), CapacityError, "^transversal needs 2099597 steps"),
+        # shape before primality: the even 2 before the composite 9, the
+        # sign before is_prime's range, the cap before is_prime's range
+        ((9, 2), DomainError, "^2 is not odd$"),
+        ((-5, 7), DomainError, "^-5 is not prime$"),
+        ((2**64 + 1, 3), CapacityError, "^transversal needs 55340232221128654851 steps"),
     ])
     def test_a_bad_last_pair_raises_before_the_first_verdict(self, bad, error, message,
                                                              monkeypatch):
@@ -691,8 +696,9 @@ def record_processes(monkeypatch, log):
 
 def child_positions(monkeypatch, log):
     """The positions in SWEEP_200_PAIRS that a split verify_pairs checks in its
-    child; a pair's half depends only on the pairs before it.  Undoes every
-    patch the test has made so far."""
+    child, the pairs after the least prefix that holds half of the work; a
+    change to any pair's work may move that split.  Undoes every patch the
+    test has made so far."""
     usable_cpus(monkeypatch, 2)
     record_processes(monkeypatch, log)
     assert all(v.all_pass for v in verify_pairs(SWEEP_200_PAIRS))
@@ -739,7 +745,9 @@ class TestTwoProcesses:
 
     def test_a_composite_prime_in_the_childs_half_raises_in_its_turn(self, monkeypatch,
                                                                       tmp_path):
-        i = min(k for k in child_positions(monkeypatch, tmp_path / "halves") if k > 400)
+        # the middle of the child's half, which the lighter (3, 9) cannot move out of it
+        in_child = sorted(child_positions(monkeypatch, tmp_path / "halves"))
+        i = in_child[len(in_child) // 2]
         pairs = list(SWEEP_200_PAIRS)
         pairs[i] = (3, 9)
         log = tmp_path / "pids"
@@ -759,18 +767,21 @@ class TestTwoProcesses:
 
     @pytest.mark.parametrize("first", ["child", "this process"])
     def test_the_first_error_in_pair_order_is_raised(self, first, monkeypatch, tmp_path):
+        # an error at i, the last pair of this process's half, and one at j,
+        # the first of the child's; first names the process that finds its
+        # error first in time, while the other sleeps 0.5 s before raising
         in_child = child_positions(monkeypatch, tmp_path / "halves")
-        # an error at i, in the first half, and one at j > i in the other
-        i = min(k for k in range(300, 990) if (k in in_child) == (first == "child"))
-        j = min(k for k in range(i + 1, 990) if (k in in_child) != (first == "child"))
+        j = min(in_child)
+        i = j - 1
         faulty = {SWEEP_200_PAIRS[i]: "at i", SWEEP_200_PAIRS[j]: "at j"}
-        parent, exact = os.getpid(), reciprocity_pipeline.verify_pair
+        parent, exact, raised = os.getpid(), reciprocity_pipeline.verify_pair, tmp_path / "raised"
 
         def failing(p, q, tables=None):
             if (p, q) in faulty:
-                if os.getpid() != parent:
-                    # this process checks its own pairs ahead of their turn meanwhile
+                if (os.getpid() == parent) == (first == "child"):
                     time.sleep(0.5)
+                with open(raised, "a") as f:
+                    f.write(f"{faulty[p, q]}\n")
                 raise DomainError(faulty[p, q])
             return exact(p, q, tables)
 
@@ -781,6 +792,8 @@ class TestTwoProcesses:
             verdicts.extend(verify_pairs(SWEEP_200_PAIRS))
         no_child_left()
         assert verdicts == [exact(p, q) for p, q in SWEEP_200_PAIRS[:i]]
+        # a sleeping child is killed before it raises
+        assert raised.read_text().splitlines()[0] == ("at j" if first == "child" else "at i")
 
     @pytest.mark.parametrize("death,code", [("exit", 3), ("raise", 1)])
     def test_a_child_that_dies_is_an_internal_check_error(self, death, code, monkeypatch):
