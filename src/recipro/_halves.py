@@ -51,12 +51,12 @@ def run_in_halves(check: Callable[[object], object], items: Sequence, work: Iter
     CPUs, no thread but this one (a forked child would hold only a copy of
     it, and none of the locks the others held), no callee with a __wrapped__
     attribute (a tracer's or profiler's wrapper, as functools.wraps makes,
-    counts only the calls made in its own process), and
-    sum(work) >= _SPLIT_WORK.  This process checks and yields the items of
-    the least prefix that holds half of the work; the child checks the rest,
-    pickles each result into a buffer and writes the buffer through a pipe
-    in one write once it is done.  This process then reads the pipe to its
-    end, reaps the child, and only then yields the child's results.
+    counts only the calls made in its own process), sum(work) >= _SPLIT_WORK,
+    and an item past the least prefix that holds half of the work.  This
+    process checks and yields the items of that prefix; the child checks the
+    rest, pickles each result into a buffer and writes the buffer through
+    a pipe in one write once it is done.  This process then reads the pipe
+    to its end, reaps the child, and only then yields the child's results.
 
     A ReciproError that a check raises is raised here in its item's turn,
     as one process would raise it; the child sends it in place of its
@@ -71,8 +71,9 @@ def run_in_halves(check: Callable[[object], object], items: Sequence, work: Iter
     if (hasattr(os, "fork") and _usable_cpus() >= 2 and threading.active_count() == 1
             and not any(hasattr(f, "__wrapped__") for f in callees)):
         loads = list(accumulate(work))
-        if loads and loads[-1] >= _SPLIT_WORK:
-            cut = next(k for k, load in enumerate(loads, 1) if 2 * load >= loads[-1])
+        total = loads[-1] if loads else 0
+        cut = next((k for k, load in enumerate(loads, 1) if 2 * load >= total), 0)
+        if total >= _SPLIT_WORK and cut < len(items):
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()

@@ -2,7 +2,10 @@
 
 All randomness comes from ``random.Random(seed)``, i.e. the Mersenne Twister
 (MT19937) as shipped with CPython.  Every generator documents its exact draw
-sequence, so a case list is reproducible from the seed alone.  run_suite
+sequence, so a case list is reproducible from the seed alone.  The draws go
+through _below, which calls the public ``Random.getrandbits`` as CPython's
+own ``randrange``, ``randint`` and ``choice`` do, so each draw is the one
+those calls make (checked on CPython 3.10 to 3.13).  run_suite
 refuses a suite name that is not one of SUITE_NAMES, and a case count or a
 seed that is a bool or not an int, with DomainError, and more than
 budget.SUITE_CASE_CAP cases with CapacityError, for every suite, before any
@@ -18,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import isqrt, prod
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import budget
 from ._halves import run_in_halves
@@ -54,20 +57,32 @@ PAIR_MIN_EXCLUSIVE = 200
 PAIR_MAX_PRODUCT = 200_000
 
 
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """What ``Random.randrange(n)`` returns for n >= 1, bits being that
+    Random's getrandbits: as CPython computes it, getrandbits(k) with
+    k = n.bit_length(), drawn again while it is >= n.  ``randint(a, b)`` is
+    a + _below(bits, b - a + 1) and ``choice(seq)`` is
+    seq[_below(bits, len(seq))]."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def random_factor_lists(n_cases: int, seed: int) -> list[tuple[int, ...]]:
     """Random cyclic factor lists with group order at most GROUP_MAX_ORDER.
 
     Per case: draw k = randint(1, 4), then k draws of randint(1, 20); the
     whole list is rejected and redrawn while the product exceeds 2**12.
+    Each randint is drawn by _below, as CPython's randint draws it.
     """
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     out = []
     for _ in range(n_cases):
         while True:
-            k = rng.randint(1, GROUP_MAX_FACTORS)
-            orders = tuple(
-                rng.randint(1, GROUP_MAX_FACTOR_ORDER) for _ in range(k)
-            )
+            k = 1 + _below(bits, GROUP_MAX_FACTORS)
+            orders = tuple(1 + _below(bits, GROUP_MAX_FACTOR_ORDER) for _ in range(k))
             if prod(orders) <= GROUP_MAX_ORDER:
                 break
         out.append(orders)
@@ -79,13 +94,15 @@ def random_even_factor_lists(n_cases: int, seed: int) -> list[tuple[int, ...]]:
 
     Per case: draw k = randint(1, 4), then k choices from
     (2, 4, 6, 8, 10, 12, 16, 20).  Products never exceed 20**4 = 160000,
-    which is inside budget.GROUP_ENUM_CAP = 2**22.
+    which is inside budget.GROUP_ENUM_CAP = 2**22.  Each randint and choice
+    is drawn by _below, as CPython's randint and choice draw them.
     """
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
+    n_choices = len(EVEN_FACTOR_CHOICES)
     out = []
     for _ in range(n_cases):
-        k = rng.randint(1, GROUP_MAX_FACTORS)
-        out.append(tuple(rng.choice(EVEN_FACTOR_CHOICES) for _ in range(k)))
+        k = 1 + _below(bits, GROUP_MAX_FACTORS)
+        out.append(tuple(EVEN_FACTOR_CHOICES[_below(bits, n_choices)] for _ in range(k)))
     return out
 
 
@@ -93,16 +110,18 @@ def random_euler_cases(n_cases: int, seed: int) -> list[tuple[int, int]]:
     """Random (q, p) pairs for the multiple-product identity.
 
     Per case: p = choice over the odd primes <= 2000, then
-    q = randint(1, 10**6) redrawn while p divides q.
+    q = randint(1, 10**6) redrawn while p divides q.  Each choice and
+    randint is drawn by _below, as CPython's choice and randint draw them.
     """
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     primes = odd_primes_up_to(EULER_MAX_PRIME)
+    n_primes = len(primes)
     cases = []
     for _ in range(n_cases):
-        p = rng.choice(primes)
-        qv = rng.randint(1, EULER_MAX_NUMERATOR)
+        p = primes[_below(bits, n_primes)]
+        qv = 1 + _below(bits, EULER_MAX_NUMERATOR)
         while qv % p == 0:
-            qv = rng.randint(1, EULER_MAX_NUMERATOR)
+            qv = 1 + _below(bits, EULER_MAX_NUMERATOR)
         cases.append((qv, p))
     return cases
 
@@ -113,7 +132,8 @@ def random_prime_pairs(n_cases: int, seed: int) -> list[tuple[int, int]]:
 
     Per case: p = choice over the eligible smaller primes (those in
     (200, isqrt(200000)] with at least one partner), then q = choice over
-    the odd primes in (p, 200000 // p].
+    the odd primes in (p, 200000 // p].  Each choice is drawn by _below, as
+    CPython's choice draws it.
     """
     all_primes = odd_primes_up_to(PAIR_MAX_PRODUCT // (PAIR_MIN_EXCLUSIVE + 1) + 1)
     candidates = []
@@ -123,11 +143,11 @@ def random_prime_pairs(n_cases: int, seed: int) -> list[tuple[int, int]]:
         partners = [r for r in all_primes if p < r <= PAIR_MAX_PRODUCT // p]
         if partners:
             candidates.append((p, partners))
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     cases = []
     for _ in range(n_cases):
-        p, partners = rng.choice(candidates)
-        cases.append((p, rng.choice(partners)))
+        p, partners = candidates[_below(bits, len(candidates))]
+        cases.append((p, partners[_below(bits, len(partners))]))
     return cases
 
 
@@ -147,12 +167,14 @@ class SuiteResult:
         return self.n_fail == 0
 
 
-def _tally(suite: str, outcomes: Iterable[tuple[bool, str]]) -> SuiteResult:
-    total, failures = 0, []
-    for total, (ok, desc) in enumerate(outcomes, 1):
-        if not ok:
-            failures.append(desc)
-    return SuiteResult(suite, total - len(failures), len(failures), tuple(failures[:20]))
+def _tally(suite: str, oks: Iterable[bool], cases: Sequence, describe: Callable[..., str]
+           ) -> SuiteResult:
+    """One bool per case, in case order; describe makes the text of a failing
+    case, and runs only for the first 20 failures, the ones kept."""
+    oks = list(oks)
+    failed = [case for ok, case in zip(oks, cases) if not ok]
+    described = tuple(map(describe, failed[:20]))
+    return SuiteResult(suite, len(oks) - len(failed), len(failed), described)
 
 
 def _lemma1_holds(orders: tuple[int, ...]) -> bool:
@@ -177,7 +199,7 @@ def run_sum_elements_suite(n_cases: int, seed: int) -> SuiteResult:
     callees = (sum_all_elements, rank2, two_torsion_subgroup, element_order, AbelianGroup.iter_coords)
     passed = run_in_halves(_lemma1_holds, cases, [prod(orders) * len(orders) for orders in cases],
                            callees)
-    return _tally("lemma1", zip(passed, (f"orders={orders}" for orders in cases)))
+    return _tally("lemma1", passed, cases, "orders={}".format)
 
 
 def run_quotient_rank_suite(n_cases: int, seed: int) -> SuiteResult:
@@ -189,12 +211,8 @@ def run_quotient_rank_suite(n_cases: int, seed: int) -> SuiteResult:
     cases = list(FORCED_EVEN_CASES[:n_cases])
     if n_cases > len(FORCED_EVEN_CASES):
         cases += random_even_factor_lists(n_cases - len(FORCED_EVEN_CASES), seed)
-    outcomes = []
-    for orders in cases:
-        formula = rank2_quotient_formula(orders)
-        enumerated = rank2_quotient_enumerated(orders)
-        outcomes.append((formula == enumerated, f"orders={orders}"))
-    return _tally("lemma2", outcomes)
+    oks = [rank2_quotient_formula(orders) == rank2_quotient_enumerated(orders) for orders in cases]
+    return _tally("lemma2", oks, cases, "orders={}".format)
 
 
 def run_euler_suite(n_cases: int, seed: int) -> SuiteResult:
@@ -202,9 +220,8 @@ def run_euler_suite(n_cases: int, seed: int) -> SuiteResult:
     case checked by one residue_arith._euler_failures call."""
     cases = random_euler_cases(n_cases, seed)
     failures = _euler_failures(cases)
-    # a generator, so that only the descriptions of failures are held
-    outcomes = ((i not in failures, f"q={qv} p={p}") for i, (qv, p) in enumerate(cases))
-    return _tally("euler", outcomes)
+    return _tally("euler", (i not in failures for i in range(len(cases))), cases,
+                  lambda case: "q={} p={}".format(*case))
 
 
 def run_wilson_suite(n_cases: int, seed: int) -> SuiteResult:
@@ -217,8 +234,7 @@ def run_wilson_suite(n_cases: int, seed: int) -> SuiteResult:
     """
     primes = [validate_odd_prime(p) for p in first_odd_primes(n_cases)]
     residues = factorial_residues([(p - 1, p) for p in primes])
-    outcomes = [(r == p - 1, f"p={p}") for p, r in zip(primes, residues)]
-    return _tally("wilson", outcomes)
+    return _tally("wilson", [r == p - 1 for p, r in zip(primes, residues)], primes, "p={}".format)
 
 
 _RUNNERS = {

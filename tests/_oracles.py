@@ -5,6 +5,7 @@ library implementation, so that agreement is evidence rather than tautology.
 """
 
 import itertools
+import random
 
 
 def trial_division_is_prime(n):
@@ -218,3 +219,54 @@ def crt_transversal_ok(p, q, pairs):
         seen.add(k)
         count += 1
     return count == (p - 1) * (q - 1) // 2
+
+
+# The reference generators: the draw sequences that recipro.suites documents,
+# written with the stdlib's own Random.randint and Random.choice.
+
+
+def factor_lists_by_randint(n_cases, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n_cases):
+        while True:
+            orders = tuple(rng.randint(1, 20) for _ in range(rng.randint(1, 4)))
+            product = 1
+            for n in orders:
+                product *= n
+            if product <= 2**12:
+                break
+        out.append(orders)
+    return out
+
+
+def even_factor_lists_by_choice(n_cases, seed):
+    rng = random.Random(seed)
+    choices = (2, 4, 6, 8, 10, 12, 16, 20)
+    return [tuple(rng.choice(choices) for _ in range(rng.randint(1, 4))) for _ in range(n_cases)]
+
+
+def euler_cases_by_randint(n_cases, seed):
+    rng = random.Random(seed)
+    primes = primes_below_by_sieve(2001)[1:]
+    cases = []
+    for _ in range(n_cases):
+        p = rng.choice(primes)
+        q = rng.randint(1, 10**6)
+        while q % p == 0:
+            q = rng.randint(1, 10**6)
+        cases.append((q, p))
+    return cases
+
+
+def prime_pairs_by_choice(n_cases, seed):
+    """p > 200 with at least one prime partner q, p < q <= 200000 // p."""
+    primes = primes_below_by_sieve(1000)
+    candidates = [(p, [q for q in primes if p < q <= 200_000 // p]) for p in primes if p > 200]
+    candidates = [(p, partners) for p, partners in candidates if partners]
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(n_cases):
+        p, partners = rng.choice(candidates)
+        cases.append((p, rng.choice(partners)))
+    return cases

@@ -1,7 +1,7 @@
 import os
 
 from recipro._halves import _SPLIT_WORK, run_in_halves
-from _processes import count_forks, no_child_left, usable_cpus
+from _processes import count_forks, no_child_left, refuse_fork, usable_cpus
 
 
 def test_a_child_stream_larger_than_a_pipe_comes_back_whole(monkeypatch, tmp_path):
@@ -22,3 +22,11 @@ def test_a_child_stream_larger_than_a_pipe_comes_back_whole(monkeypatch, tmp_pat
     assert len(forks) == 1
     lines = [line.split() for line in log.read_text().splitlines()[:8]]
     assert sorted(int(i) for pid, i in lines if int(pid) != os.getpid()) == [4, 5, 6, 7]
+
+
+def test_no_child_is_forked_for_an_empty_half(monkeypatch):
+    # the last item holds more than half of the work, so this process takes every item
+    usable_cpus(monkeypatch, 2)
+    refuse_fork(monkeypatch)
+    assert list(run_in_halves(str, [0], [_SPLIT_WORK], (str,))) == ["0"]
+    assert list(run_in_halves(str, [0, 1, 2], [1, 1, 10**7], (str,))) == ["0", "1", "2"]

@@ -1,5 +1,6 @@
 import functools
 import os
+import random
 import threading
 from collections import Counter
 from math import prod
@@ -29,7 +30,13 @@ from recipro.suites import (
     random_prime_pairs,
     run_suite,
 )
-from _oracles import factorial_by_running_product
+from _oracles import (
+    euler_cases_by_randint,
+    even_factor_lists_by_choice,
+    factor_lists_by_randint,
+    factorial_by_running_product,
+    prime_pairs_by_choice,
+)
 from _processes import no_child_left, refuse_fork, usable_cpus
 
 
@@ -63,6 +70,24 @@ class TestGenerators:
 
     def test_prime_pairs_deterministic(self):
         assert random_prime_pairs(10, 7) == random_prime_pairs(10, 7)
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, -7, 2**70])
+    @pytest.mark.parametrize("generator,reference,n", [
+        (random_factor_lists, factor_lists_by_randint, 2000),
+        (random_even_factor_lists, even_factor_lists_by_choice, 5000),
+        (random_euler_cases, euler_cases_by_randint, 5000),
+        (random_prime_pairs, prime_pairs_by_choice, 5000),
+    ])
+    def test_each_generator_draws_what_randint_and_choice_draw(self, generator, reference, n,
+                                                               seed):
+        assert generator(n, seed) == reference(n, seed)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 20, 302, 10**6, 2**32 + 1])
+    def test_below_draws_what_randrange_draws(self, n):
+        stdlib, ours = random.Random(n), random.Random(n)
+        drawn = [suites._below(ours.getrandbits, n) for _ in range(500)]
+        assert drawn == [stdlib.randrange(n) for _ in range(500)]
+        assert ours.getstate() == stdlib.getstate()
 
 
 def perturb_residues(monkeypatch, bad_moduli):
@@ -165,9 +190,12 @@ class TestRunners:
             suites, "sum_all_elements",
             lambda G: ((exact(G)[0] + 1) % G.factor_orders[0], *exact(G)[1:]),
         )
-        expected = sum(1 for orders in random_factor_lists(200, 5) if orders[0] > 1)
-        assert 0 < expected < 200
-        assert run_suite("lemma1", 200, 5).n_fail == expected
+        expected = [f"orders={orders}" for orders in random_factor_lists(200, 5) if orders[0] > 1]
+        assert 20 < len(expected) < 200
+        result = run_suite("lemma1", 200, 5)
+        # every failure is counted; the first 20, in case order, are described
+        assert (result.n_pass, result.n_fail) == (200 - len(expected), len(expected))
+        assert result.failures == tuple(expected[:20])
 
     def test_lemma1_fails_where_the_two_torsion_is_read(self, monkeypatch):
         # only rank-1 cases (exactly one even factor) consult the two-torsion
@@ -182,6 +210,19 @@ class TestRunners:
                 suites, "two_torsion_subgroup", lambda G: [(0,) * len(G.factor_orders)] * copies,
             )
             assert run_suite("lemma1", 200, 5).n_fail == expected, copies
+
+    def test_lemma2_fails_where_the_enumerated_rank_is_moved(self, monkeypatch):
+        exact = suites.rank2_quotient_enumerated
+        monkeypatch.setattr(
+            suites, "rank2_quotient_enumerated",
+            lambda orders: exact(orders) + (len(orders) == 2),
+        )
+        cases = list(FORCED_EVEN_CASES) + random_even_factor_lists(198, 7)
+        expected = [f"orders={orders}" for orders in cases if len(orders) == 2]
+        assert expected[:2] == ["orders=(4, 4)", "orders=(2, 4)"] and 20 < len(expected) < 200
+        result = run_suite("lemma2", 200, 7)
+        assert (result.n_pass, result.n_fail) == (200 - len(expected), len(expected))
+        assert result.failures == tuple(expected[:20])
 
     def test_lemma2_includes_forced_cases(self):
         result = run_suite("lemma2", 10, 7)
