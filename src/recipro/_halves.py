@@ -1,11 +1,12 @@
 """Independent checks run as two halves, one of them in a forked child.
 
 A caller whose checks are independent hands them to :func:`run_in_halves`:
-the ``lemma1`` and ``euler`` suites, whose checks give bools, and
-``reciprocity_pipeline.verify_pairs``, whose checks give pair verdicts.
+the ``lemma1`` suite, whose checks give bools, the ``euler`` suite, whose
+checks give sets of failing cases, and ``reciprocity_pipeline.verify_pairs``,
+whose checks give pair verdicts.
 When the call's work is large, two CPUs are usable, no other thread runs and
-none of the functions the checks call is wrapped, the calling process checks
-the first items, until they hold half of the work, while exactly one
+no public name of the package is wrapped, the calling process checks the
+first items, until they hold half of the work, while exactly one
 ``os.fork()`` child checks the rest and sends back their results, pickled,
 through a pipe; otherwise every check runs here, in order.  Either way the
 results come back in item order and are the same, so a caller's output does
@@ -18,6 +19,7 @@ import io
 import os
 import pickle
 import signal
+import sys
 import threading
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
@@ -39,24 +41,24 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_in_halves(check: Callable[[object], object], items: Sequence, work: Iterable[int],
-                  callees: Sequence[Callable]) -> Iterator:
+def run_in_halves(check: Callable[[object], object], items: Sequence,
+                  work: Iterable[int]) -> Iterator:
     """check(item) for each item, in order, the items split over two processes
     when that pays; work yields each item's cost in the caller's steps, in
-    item order, and is read at most once, and callees are the functions
-    check calls.
+    item order, and is read at most once.
 
     A generator: nothing is checked, and no process started, before the
     first result is drawn.  The split needs os.fork, at least two usable
     CPUs, no thread but this one (a forked child would hold only a copy of
-    it, and none of the locks the others held), no callee with a __wrapped__
-    attribute (a tracer's or profiler's wrapper, as functools.wraps makes,
-    counts only the calls made in its own process), sum(work) >= _SPLIT_WORK,
-    and an item past the least prefix that holds half of the work.  This
-    process checks and yields the items of that prefix; the child checks the
-    rest, pickles each result into a buffer and writes the buffer through
-    a pipe in one write once it is done.  This process then reads the pipe
-    to its end, reaps the child, and only then yields the child's results.
+    it, and none of the locks the others held), no name in the package's
+    __all__ with a __wrapped__ attribute (a tracer's or profiler's wrapper,
+    as functools.wraps makes, counts only the calls made in its own
+    process), sum(work) >= _SPLIT_WORK, and an item past the least prefix
+    that holds half of the work.  This process checks and yields the items
+    of that prefix; the child checks the rest, pickles each result into a
+    buffer and writes the buffer through a pipe in one write once it is
+    done.  This process then reads the pipe to its end, reaps the child, and
+    only then yields the child's results.
 
     A ReciproError that a check raises is raised here in its item's turn,
     as one process would raise it; the child sends it in place of its
@@ -67,9 +69,11 @@ def run_in_halves(check: Callable[[object], object], items: Sequence, work: Iter
     InternalCheckError, raised before any of its results is yielded when it
     exits nonzero, so a caller that stops at the last item still sees it.
     """
-    pid = None
+    # the package is read at call time, since it imports this module as it loads
+    pid, package = None, sys.modules[__package__]
     if (hasattr(os, "fork") and _usable_cpus() >= 2 and threading.active_count() == 1
-            and not any(hasattr(f, "__wrapped__") for f in callees)):
+            and not any(hasattr(getattr(package, name), "__wrapped__")
+                        for name in package.__all__)):
         loads = list(accumulate(work))
         total = loads[-1] if loads else 0
         cut = next((k for k, load in enumerate(loads, 1) if 2 * load >= total), 0)

@@ -409,10 +409,8 @@ def verify_pairs(pairs: Iterable[tuple[int, int]]) -> Iterator[PairVerdict]:
     plus 4.8 ns per k-step, fitted on sweeps to 150 and 200 in one process.
     So a sweep to 200 (990 pairs) may run in two processes, its first 711
     pairs here and the last 279 in the child, whose verdicts come back once
-    it is done; a sweep to 150 (561 pairs) does not.  verify_pair and the
-    functions it calls are read at call time, so a replacement of
-    verify_pair is the one called, and a wrapped one keeps the call in one
-    process.
+    it is done; a sweep to 150 (561 pairs) does not.  verify_pair is read at
+    call time, so a replacement of it is the one called.
 
     Each prime found in two or more of the pairs gets a slot in one tables
     dict, held by this call alone; its log table is built when its first
@@ -431,7 +429,5 @@ def verify_pairs(pairs: Iterable[tuple[int, int]]) -> Iterator[PairVerdict]:
     for p, q in pairs:
         _precheck(p, q)
     tables: dict[int, _LogTable | None] = {m: None for m, n in counts.items() if n > 1}
-    callees = (verify_pair, build_transversal, product_over_transversal, verify_transversal,
-               validate_odd_prime, euler_symbol, rank2_quotient_formula)
     yield from run_in_halves(lambda pair: verify_pair(*pair, tables), pairs,
-                             (530 + p * q // 12 for p, q in pairs), callees)
+                             (530 + p * q // 12 for p, q in pairs))

@@ -283,8 +283,8 @@ def _euler_failures(cases: list[tuple[int, int]]) -> set[int]:
     primes, ascending, are cut into windows of _BLOCK; the k-th case of each
     prime in a window is a lane of the window's k-th batch of left sides.
     The windows are checked by _halves.run_in_halves, each weighed by its
-    lane multiples, the sum of (p-1)/2 over its cases; a window that fails is
-    checked again here for the indices of its failures.
+    lane multiples, the sum of (p-1)/2 over its cases, and each gives the
+    indices of its failures.
     """
     # every p is an int before any is hashed, so 7.0 or [7] raises DomainError
     primes = [validate_odd_prime(p) for p in dict.fromkeys(_check_int(p) for _, p in cases)]
@@ -308,9 +308,7 @@ def _euler_failures(cases: list[tuple[int, int]]) -> set[int]:
         return failures
 
     work = [sum(len(cases_of[p]) * (p - 1) // 2 for p in window) for window in windows]
-    passed = run_in_halves(lambda window: not failures_in(window), windows, work,
-                           (_products_of_multiples, euler_symbol))
-    return set().union(*(failures_in(w) for w, ok in zip(windows, passed) if not ok))
+    return set().union(*run_in_halves(failures_in, windows, work))
 
 
 def euler_criterion_check(q: int, p: int) -> bool:

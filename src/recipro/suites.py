@@ -12,8 +12,8 @@ budget.SUITE_CASE_CAP cases with CapacityError, for every suite, before any
 case is drawn or any prime is sieved.
 
 A lemma1 or euler call over the bound of _halves.run_in_halves, with two
-CPUs usable, no other thread running and no callee wrapped, checks half of
-its cases in one forked child; its result is the same as in one process.
+CPUs usable, no other thread running and no public name wrapped, checks half
+of its cases in one forked child; its result is the same as in one process.
 """
 
 from __future__ import annotations
@@ -196,9 +196,7 @@ def run_sum_elements_suite(n_cases: int, seed: int) -> SuiteResult:
     |G| * k coordinates sum_all_elements reads.
     """
     cases = random_factor_lists(n_cases, seed)
-    callees = (sum_all_elements, rank2, two_torsion_subgroup, element_order, AbelianGroup.iter_coords)
-    passed = run_in_halves(_lemma1_holds, cases, [prod(orders) * len(orders) for orders in cases],
-                           callees)
+    passed = run_in_halves(_lemma1_holds, cases, [prod(orders) * len(orders) for orders in cases])
     return _tally("lemma1", passed, cases, "orders={}".format)
 
 

@@ -1,4 +1,3 @@
-import functools
 import os
 import pickle
 import random
@@ -28,7 +27,7 @@ from recipro import (
 from recipro import reciprocity_pipeline, residue_arith
 from recipro.reciprocity_pipeline import _log_table, _primitive_root, _product_mod
 from _oracles import crt_transversal_ok, streamed_product
-from _processes import count_forks, no_child_left, refuse_fork, usable_cpus
+from _processes import count_forks, no_child_left, refuse_fork, usable_cpus, wrap_everywhere
 
 SMALL_PAIRS = [
     (p, q)
@@ -682,8 +681,8 @@ class TestFailFast:
 
 def record_processes(monkeypatch, log):
     """Make verify_pair write the id of its process and its pair to log before
-    it checks the pair.  The replacement has no __wrapped__, so a call may
-    still split."""
+    it checks the pair.  The replacement has no __wrapped__ and recipro's own
+    verify_pair is left as it is, so a call may still split."""
     exact = reciprocity_pipeline.verify_pair
 
     def recorded(p, q, tables=None):
@@ -841,16 +840,16 @@ class TestTwoProcesses:
         assert pickle.loads(pickle.dumps(stub)) == stub
 
     @pytest.mark.parametrize("why", ["one CPU", "a second thread", "a wrapped verify_pair",
-                                     "a sweep to 150"])
+                                     "a wrapped is_prime", "a sweep to 150"])
     def test_fork_is_not_called(self, why, monkeypatch):
         usable_cpus(monkeypatch, 1 if why == "one CPU" else 2)
         refuse_fork(monkeypatch)
         pairs = SWEEP_200_PAIRS
         if why == "a wrapped verify_pair":
-            # as the benchmark's tracer wraps it
-            exact = reciprocity_pipeline.verify_pair
-            monkeypatch.setattr(reciprocity_pipeline, "verify_pair",
-                                functools.wraps(exact)(lambda *args: exact(*args)))
+            wrap_everywhere(monkeypatch, reciprocity_pipeline.verify_pair)
+        if why == "a wrapped is_prime":
+            # reached only through validate_odd_prime
+            wrap_everywhere(monkeypatch, residue_arith.is_prime)
         if why == "a sweep to 150":
             pairs = [(p, q) for p, q in SWEEP_200_PAIRS if q <= 150]
             assert len(pairs) == 561

@@ -1,8 +1,8 @@
-import functools
 import os
 import random
 import threading
 from collections import Counter
+from itertools import product
 from math import prod
 
 import pytest
@@ -16,14 +16,21 @@ from recipro import (
     factorial_mod,
     first_odd_primes,
     is_prime,
+    odd_primes_up_to,
+    rank2_quotient_enumerated,
+    rank2_quotient_formula,
     residue_arith,
     suites,
+    verify_pairs,
     wilson_check,
 )
 from recipro.suites import (
     EVEN_FACTOR_CHOICES,
     FORCED_EVEN_CASES,
+    GROUP_MAX_FACTORS,
     GROUP_MAX_ORDER,
+    PAIR_MAX_PRODUCT,
+    PAIR_MIN_EXCLUSIVE,
     random_euler_cases,
     random_even_factor_lists,
     random_factor_lists,
@@ -37,7 +44,7 @@ from _oracles import (
     factorial_by_running_product,
     prime_pairs_by_choice,
 )
-from _processes import no_child_left, refuse_fork, usable_cpus
+from _processes import no_child_left, refuse_fork, usable_cpus, wrap_everywhere
 
 
 class TestGenerators:
@@ -88,6 +95,30 @@ class TestGenerators:
         drawn = [suites._below(ours.getrandbits, n) for _ in range(500)]
         assert drawn == [stdlib.randrange(n) for _ in range(500)]
         assert ours.getstate() == stdlib.getstate()
+
+
+class TestWholeDomains:
+    """Every case the lemma2 and pair generators can draw, enumerated from their
+    own constants, so a changed constant widens the check with it."""
+
+    def test_every_even_factor_list_has_the_enumerated_rank(self):
+        domain = [orders for k in range(1, GROUP_MAX_FACTORS + 1)
+                  for orders in product(EVEN_FACTOR_CHOICES, repeat=k)]
+        assert len(domain) == 4680
+        assert set(FORCED_EVEN_CASES) | set(random_even_factor_lists(500, 1)) <= set(domain)
+        assert [orders for orders in domain
+                if rank2_quotient_formula(orders) != rank2_quotient_enumerated(orders)] == []
+
+    def test_every_prime_pair_passes(self):
+        primes = odd_primes_up_to(PAIR_MAX_PRODUCT // PAIR_MIN_EXCLUSIVE)
+        domain = [(p, q) for p in primes if p > PAIR_MIN_EXCLUSIVE
+                  for q in primes if p < q and p * q <= PAIR_MAX_PRODUCT]
+        assert len(domain) == 1978
+        for seed in (0, 1, 2):
+            assert set(random_prime_pairs(500, seed)) <= set(domain)
+        verdicts = list(verify_pairs(domain))
+        assert [(v.p, v.q) for v in verdicts] == domain
+        assert [v for v in verdicts if not v.all_pass] == []
 
 
 def perturb_residues(monkeypatch, bad_moduli):
@@ -476,11 +507,8 @@ class TestTwoProcesses:
         usable_cpus(monkeypatch, 1 if why == "one CPU" else 2)
         refuse_fork(monkeypatch)
         if why == "a wrapped callee":
-            # as a tracer wraps them: the group walk on its class, a lane product in its module
-            for owner, name in [(suites.AbelianGroup, "iter_coords"),
-                                (residue_arith, "_products_of_multiples")]:
-                monkeypatch.setattr(owner, name, functools.wraps(getattr(owner, name))(
-                    lambda *args, inner=getattr(owner, name): inner(*args)))
+            # a public name: the euler call, which never reaches it, stays in one process too
+            wrap_everywhere(monkeypatch, suites.sum_all_elements)
         calls = SPLIT_CALLS
         if why == "work under the bound":
             # 924,887 lane multiples and 147,634 coordinate reads
